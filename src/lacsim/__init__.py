@@ -5,80 +5,8 @@ request streams), cache (replacement and probabilistic insertion policies),
 netsim (the packet-level network simulator), and analytics (working-set
 style approximations for miss probabilities and cache sizing). metrics holds
 the result containers shared by all of them; cli wires everything to the
-lacsim command.
+lacsim command. Import names from these modules (lacsim.netsim, ...); the
+package root holds only the version.
 """
-
-from .workload import (
-    PopularityModel,
-    RequestSource,
-    DrawBuffer,
-    zipf_weights,
-    sample_rank,
-    next_interarrival,
-    make_stream,
-)
-from .cache import (
-    InsertionPolicy,
-    LruCache,
-    LatencyEstimator,
-    ProtocolError,
-    EstimatorStateError,
-    parse_policy,
-    split_policy_list,
-    with_mode,
-    decide_insertion,
-    ALWAYS,
-    FIXED_PROB,
-    LATENCY_AWARE,
-    ASYMMETRIC,
-    SYMMETRIC,
-)
-from .analytics import (
-    CheSolution,
-    solve_tau,
-    phi,
-    miss_asym,
-    miss_mixture,
-    miss_sym,
-    mtf_prob,
-    tau_sym,
-    eta_sym,
-    eta_asym,
-    vrtt,
-    rvrtt,
-    fig1_grid,
-    write_model_curves,
-    clamp_events,
-    reset_clamp_events,
-)
-from .metrics import (
-    DeliveryRecord,
-    RunningStats,
-    LinkStats,
-    MetricsReport,
-    running_stats,
-    link_load,
-    SCHEMA_VERSION,
-)
-from .netsim import (
-    ConfigError,
-    NodeSpec,
-    LinkSpec,
-    Topology,
-    ScenarioConfig,
-    Simulation,
-    run_scenario,
-    preset,
-    PRESET_NAMES,
-    load_scenario,
-    scenario_from_dict,
-)
-from .harness import (
-    RunSummary,
-    summarize,
-    run_summary,
-    run_matrix,
-    calibrated_lcp_policy,
-)
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ is.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "ASYMMETRIC",
@@ -48,7 +48,8 @@ LATENCY_AWARE = "latency_aware"
 
 
 class ProtocolError(RuntimeError):
-    """A latency measurement arrived without a matching forward timestamp."""
+    """A rank was forwarded twice before its latency was measured, or
+    measured without a forward."""
 
 
 class EstimatorStateError(RuntimeError):
@@ -121,10 +122,6 @@ def parse_policy(text: str, lcp_p: float = 0.1, lac_beta: float = 5.0,
     raise ValueError(f"unknown policy {text!r}")
 
 
-def with_mode(policy: InsertionPolicy, mtf_mode: str) -> InsertionPolicy:
-    return replace(policy, mtf_mode=mtf_mode)
-
-
 def split_policy_list(text: str) -> list:
     """Split a comma-separated list of policy specs.
 
@@ -180,10 +177,6 @@ class LruCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
     def order(self) -> list:
         """Ranks from most recently used to least recently used."""
         return list(reversed(self._entries))
@@ -229,9 +222,12 @@ class LruCache:
 class LatencyEstimator:
     """Running mean of retrieval latencies over accepted insertions.
 
-    Also keeps the in-flight forward timestamps used to measure those
-    latencies, matched FIFO per rank. mean_f only moves when an object is
-    actually admitted; rejected candidates leave no trace.
+    Also keeps the forward timestamp used to measure each latency, one slot
+    per rank: with pending-interest aggregation a node forwards a rank only
+    when it opens a pending entry for it, and that entry closes with the
+    measurement, so a rank never has two forwards outstanding. mean_f only
+    moves when an object is actually admitted; rejected candidates leave no
+    trace.
     """
 
     __slots__ = ("mean_f", "count", "_inflight")
@@ -239,27 +235,25 @@ class LatencyEstimator:
     def __init__(self):
         self.mean_f = 0.0
         self.count = 0
-        self._inflight: dict = {}
+        self._inflight: dict = {}  # rank -> forward time
 
     def record_forward(self, rank, now: float):
-        self._inflight.setdefault(rank, []).append(now)
-
-    def inflight(self, rank) -> int:
-        return len(self._inflight.get(rank, ()))
+        """Stamp a forward of rank. Raises ProtocolError when rank already
+        has a forward outstanding."""
+        if rank in self._inflight:
+            raise ProtocolError(f"rank {rank!r} already has a forward outstanding")
+        self._inflight[rank] = now
 
     def measure_delta_t(self, rank, now: float) -> float:
-        """Latency against the oldest outstanding forward timestamp for rank.
+        """Latency against the outstanding forward timestamp for rank.
 
         For a multi-packet object, call with the mean packet arrival time;
         the result is then the mean of the per-packet latencies. Raises
         ProtocolError when no forward was recorded.
         """
-        stamps = self._inflight.get(rank)
-        if not stamps:
+        t_fwd = self._inflight.pop(rank, None)
+        if t_fwd is None:
             raise ProtocolError(f"no forward timestamp outstanding for rank {rank!r}")
-        t_fwd = stamps.pop(0)
-        if not stamps:
-            del self._inflight[rank]
         return now - t_fwd
 
     def update(self, delta_t: float):

@@ -5,7 +5,8 @@ Four subcommands:
   sim      run one scenario, write the CSV bundle
   model    evaluate the analytical miss and sizing curves, write CSVs
   compare  run a simulation and check it against the model
-  sweep    cartesian (policy x seed) batches, one summary row per run
+  sweep    cartesian (policy x seed) batches, one summary row per run and
+           a per-policy table of means over the seeds
 
 Exit codes: 0 success, 1 usage or configuration error, 2 model gate
 failure in `compare`.
@@ -22,7 +23,7 @@ from .analytics import (eta_asym, eta_sym, fig1_grid, miss_asym, miss_sym,
                         solve_tau, write_model_curves)
 from .cache import (ALWAYS, FIXED_PROB, LATENCY_AWARE, SYMMETRIC,
                     ProtocolError, split_policy_list)
-from .harness import RunSummary, calibrated_lcp_policy, run_summary
+from .harness import RunSummary, calibrated_lcp_policy, run_matrix
 from .metrics import link_load
 from .netsim import (PRESET_NAMES, ConfigError, ScenarioConfig, Simulation,
                      load_scenario, preset)
@@ -185,24 +186,36 @@ def _parse_seeds(text: str):
     return seeds
 
 
+def _print_policy_table(rows):
+    """One line per policy: the mean over its seeds of the mean delivery
+    time, its stddev, the overall miss ratio and every link's rho."""
+    by_policy = {}
+    for row in rows:
+        by_policy.setdefault(row.policy_label, []).append(row)
+    links = list(rows[0].link_loads) if rows else []
+    print(f"{'policy':>12} {'delivery':>9} {'stddev':>8} {'miss':>7}"
+          + "".join(f" {label:>18}" for label in links))
+    for label, group in by_policy.items():
+        n = len(group)
+        print(f"{label:>12}"
+              f" {sum(r.mean_delivery for r in group) / n:9.4f}"
+              f" {sum(r.stddev_delivery for r in group) / n:8.4f}"
+              f" {sum(r.overall_miss for r in group) / n:7.4f}"
+              + "".join(f" {sum(r.link_loads[link] for r in group) / n:18.4f}"
+                        for link in links))
+
+
 def cmd_sweep(args) -> int:
     outdir = _outdir(args, f"sweep-{args.preset}")
     os.makedirs(outdir, exist_ok=True)
-    seeds = _parse_seeds(args.seeds)
-    rows = []
-    for policy in split_policy_list(args.policies):
-        for seed in seeds:
-            config = preset(args.preset, policy=policy, seed=seed,
-                            requests_per_user=args.horizon,
-                            stats_warmup_s=args.warmup)
-            row = run_summary(config)
-            rows.append(row)
-            print(row.csv_row())
+    rows = run_matrix(args.preset, split_policy_list(args.policies),
+                      _parse_seeds(args.seeds), args.horizon, args.warmup)
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w") as fh:
         fh.write(",".join(RunSummary.CSV_FIELDS) + "\n")
         for row in rows:
             fh.write(row.csv_row() + "\n")
+    _print_policy_table(rows)
     print(f"wrote {path}")
     return 0
 

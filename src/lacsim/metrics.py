@@ -13,32 +13,17 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 
 __all__ = [
-    "DeliveryRecord",
     "LinkStats",
     "RunningStats",
-    "running_stats",
     "link_load",
     "MetricsReport",
     "SCHEMA_VERSION",
 ]
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One completed user request: from first interest to last data packet."""
-
-    completion_seq: int
-    rank: int
-    issued_at: float
-    completed_at: float
-
-    @property
-    def duration(self) -> float:
-        return self.completed_at - self.issued_at
 
 
 class RunningStats:
@@ -62,21 +47,6 @@ class RunningStats:
         if self.count == 0:
             return 0.0
         return math.sqrt(self._m2 / self.count)
-
-
-def running_stats(series):
-    """Cumulative (mean, stddev) after each element of a duration series.
-
-    series holds floats or DeliveryRecord instances. The stddev is the
-    population form (divisor n), matching RunningStats.
-    """
-    acc = RunningStats()
-    out = []
-    for item in series:
-        value = item.duration if isinstance(item, DeliveryRecord) else float(item)
-        acc.add(value)
-        out.append((acc.mean, acc.stddev))
-    return out
 
 
 @dataclass
@@ -111,14 +81,14 @@ class MetricsReport:
     rank_counters / rank_counters_late map node label -> rank -> [requests,
     hits]; the late window starts at stats_warmup_s into the run and serves
     steady-state comparisons. Deliveries are stored column-wise in
-    completion order together with their cumulative mean/stddev so
-    convergence can be read off at any completion index.
+    completion order; delivery_stats accumulates their durations in that
+    order, and the cumulative mean/stddev at any completion index is rebuilt
+    from the columns with the same accumulator.
     """
 
     policy_label: str
     seed: int
     elapsed: float = 0.0
-    horizon: int = 0
     stats_warmup_s: float = 0.0
 
     cache_labels: list = field(default_factory=list)
@@ -132,14 +102,12 @@ class MetricsReport:
     delivery_ranks: list = field(default_factory=list)
     delivery_issued: list = field(default_factory=list)
     delivery_completed: list = field(default_factory=list)
-    delivery_cum_mean: list = field(default_factory=list)
-    delivery_cum_std: list = field(default_factory=list)
+    delivery_stats: RunningStats = field(default_factory=RunningStats)
 
     links: list = field(default_factory=list)
 
     decision_counts: dict = field(default_factory=dict)  # label -> count
     decision_prob_sums: dict = field(default_factory=dict)
-    decision_accepts: dict = field(default_factory=dict)
 
     # -- deliveries ---------------------------------------------------------
 
@@ -147,36 +115,27 @@ class MetricsReport:
     def deliveries(self) -> int:
         return len(self.delivery_ranks)
 
-    def delivery_records(self):
-        for i in range(self.deliveries):
-            yield DeliveryRecord(
-                completion_seq=i + 1,
-                rank=self.delivery_ranks[i],
-                issued_at=self.delivery_issued[i],
-                completed_at=self.delivery_completed[i],
-            )
-
     def mean_delivery(self) -> float:
-        if not self.delivery_cum_mean:
+        if self.delivery_stats.count == 0:
             raise ValueError("no deliveries recorded")
-        return self.delivery_cum_mean[-1]
+        return self.delivery_stats.mean
 
     def stddev_delivery(self) -> float:
-        if not self.delivery_cum_std:
+        if self.delivery_stats.count == 0:
             raise ValueError("no deliveries recorded")
-        return self.delivery_cum_std[-1]
+        return self.delivery_stats.stddev
 
     def cum_mean_at(self, completion_seq: int) -> float:
+        """Mean duration of the first completion_seq deliveries."""
         if not 1 <= completion_seq <= self.deliveries:
             raise ValueError(
                 f"completion_seq {completion_seq} outside 1..{self.deliveries}")
-        return self.delivery_cum_mean[completion_seq - 1]
-
-    def cum_std_at(self, completion_seq: int) -> float:
-        if not 1 <= completion_seq <= self.deliveries:
-            raise ValueError(
-                f"completion_seq {completion_seq} outside 1..{self.deliveries}")
-        return self.delivery_cum_std[completion_seq - 1]
+        acc = RunningStats()
+        for issued, completed in islice(zip(self.delivery_issued,
+                                            self.delivery_completed),
+                                        completion_seq):
+            acc.add(completed - issued)
+        return acc.mean
 
     # -- per-rank counters --------------------------------------------------
 
@@ -265,11 +224,14 @@ class MetricsReport:
         with open(os.path.join(outdir, "delivery.csv"), "w", newline="") as fh:
             self._header(fh)
             fh.write("completion_seq,rank,duration,cum_mean,cum_stddev\n")
-            for i in range(self.deliveries):
-                duration = self.delivery_completed[i] - self.delivery_issued[i]
-                fh.write(f"{i + 1},{self.delivery_ranks[i]},{duration:.9f},"
-                         f"{self.delivery_cum_mean[i]:.9f},"
-                         f"{self.delivery_cum_std[i]:.9f}\n")
+            acc = RunningStats()
+            for seq, (rank, issued, completed) in enumerate(
+                    zip(self.delivery_ranks, self.delivery_issued,
+                        self.delivery_completed), start=1):
+                duration = completed - issued
+                acc.add(duration)
+                fh.write(f"{seq},{rank},{duration:.9f},"
+                         f"{acc.mean:.9f},{acc.stddev:.9f}\n")
 
         with open(os.path.join(outdir, "links.csv"), "w", newline="") as fh:
             self._header(fh)

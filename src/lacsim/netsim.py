@@ -45,7 +45,7 @@ from .cache import (
     decide_insertion,
     parse_policy,
 )
-from .metrics import LinkStats, MetricsReport
+from .metrics import LinkStats, MetricsReport, RunningStats
 from .workload import (
     DrawBuffer,
     RequestSource,
@@ -136,10 +136,12 @@ class Topology:
         for ls in self.links:
             if ls.down not in nodes or ls.up not in nodes:
                 raise ConfigError(f"link {ls.down}->{ls.up} references unknown nodes")
-            if ls.capacity_bps <= 0.0:
-                raise ConfigError(f"link {ls.up}->{ls.down} has non-positive capacity")
-            if ls.prop_delay_s < 0.0:
-                raise ConfigError("negative propagation delay")
+            if not (math.isfinite(ls.capacity_bps) and ls.capacity_bps > 0.0):
+                raise ConfigError(f"link {ls.up}->{ls.down} capacity must be "
+                                  f"positive and finite, got {ls.capacity_bps!r}")
+            if not (math.isfinite(ls.prop_delay_s) and ls.prop_delay_s >= 0.0):
+                raise ConfigError(f"link {ls.up}->{ls.down} propagation delay must "
+                                  f"be non-negative and finite, got {ls.prop_delay_s!r}")
             if ls.down in parent:
                 raise ConfigError(f"node {ls.down} has more than one upstream link")
             parent[ls.down] = ls.up
@@ -186,16 +188,30 @@ class ScenarioConfig:
     name: str = ""
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise ConfigError for an out-of-range scalar field. Simulation
+        checks again, because callers such as the CLI overwrite fields after
+        construction."""
         if self.requests_per_user < 1:
             raise ConfigError("requests_per_user must be >= 1")
         if self.object_size_bytes < 1 or self.packet_size_bytes < 1:
             raise ConfigError("object and packet sizes must be positive")
         if self.object_size_bytes % self.packet_size_bytes != 0:
             raise ConfigError("object size must be a whole number of packets")
-        if self.request_rate <= 0.0:
-            raise ConfigError("request_rate must be positive")
+        if not (math.isfinite(self.request_rate) and self.request_rate > 0.0):
+            raise ConfigError(f"request_rate must be positive and finite, "
+                              f"got {self.request_rate!r}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if not math.isfinite(self.stats_warmup_s):
+            raise ConfigError(f"stats_warmup_s must be finite, "
+                              f"got {self.stats_warmup_s!r}")
+        cap = self.max_sim_time_s
+        if cap is not None and not (math.isfinite(cap) and cap > 0.0):
+            raise ConfigError(f"max_sim_time_s must be positive and finite, "
+                              f"got {cap!r}")
 
     @property
     def packets_per_object(self) -> int:
@@ -226,22 +242,9 @@ class Link:
         self.busy_seconds = 0.0
         self.bytes = 0
 
-    def transmit(self, size_bytes: int, now: float) -> float:
-        """Enqueue one frame of size_bytes; returns its arrival time at the
-        far end: max(now, busy_until) + size * 8 / capacity + prop."""
-        tx = size_bytes * 8.0 / self.capacity_bps
-        start = self.busy_until
-        if start < now:
-            start = now
-        end = start + tx
-        self.busy_until = end
-        self.busy_seconds += tx
-        self.bytes += size_bytes
-        return end + self.prop_s
-
     def transmit_packet(self, now: float) -> float:
-        # hot path: same arithmetic as transmit() with the per-packet time
-        # precomputed once
+        """Enqueue one packet; returns its arrival time at the far end:
+        max(now, busy_until) + packet_bytes * 8 / capacity + prop."""
         start = self.busy_until
         if start < now:
             start = now
@@ -271,6 +274,7 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        config.validate()
         parent_ids = config.topology.validate()
         nodes = config.topology.nodes
         self.idx_of = {n.node_id: i for i, n in enumerate(nodes)}
@@ -308,8 +312,7 @@ class Simulation:
         self.sources = {}
         for i in self.users:
             spec = nodes[i]
-            self.sources[i] = RequestSource(config.request_rate, config.seed,
-                                            spec.node_id)
+            self.sources[i] = RequestSource(config.request_rate)
             self.rng[i] = DrawBuffer(make_stream(config.seed, spec.node_id))
 
     def run(self) -> MetricsReport:
@@ -336,7 +339,6 @@ class Simulation:
         totals = [[0, 0, 0, 0] for _ in range(n_nodes)]  # req, hit, fwd, join
         dec_count = [0] * n_nodes
         dec_prob_sum = [0.0] * n_nodes
-        dec_accept = [0] * n_nodes
         user_issued = [0] * n_nodes
         user_delivered = [0] * n_nodes
         repo_requests = 0
@@ -345,11 +347,8 @@ class Simulation:
         d_ranks = []
         d_issued = []
         d_completed = []
-        d_cum_mean = []
-        d_cum_std = []
-        w_count = 0
-        w_mean = 0.0
-        w_m2 = 0.0
+        d_stats = RunningStats()
+        add_duration = d_stats.add
 
         heap = []
         seq = 0
@@ -366,9 +365,10 @@ class Simulation:
             ev = heappop(heap)
             t = ev[0]
             assert t >= now, "event times must be non-decreasing"
-            now = t
-            if time_cap is not None and now > time_cap:
+            if time_cap is not None and t > time_cap:
+                now = time_cap
                 break
+            now = t
             kind = ev[2]
 
             if kind == _DATA:
@@ -395,7 +395,6 @@ class Simulation:
                         dec_count[node] += 1
                         dec_prob_sum[node] += prob
                         if dec:
-                            dec_accept[node] += 1
                             stores[node].insert(rank, prob)
                             est.update(delta)
                     for f in e.late_cache_faces:
@@ -510,23 +509,16 @@ class Simulation:
             u = ev[3]
             rank = ev[4]
             for issue in ev[5]:
-                dur = t - issue
-                w_count += 1
-                d1 = dur - w_mean
-                w_mean += d1 / w_count
-                w_m2 += d1 * (dur - w_mean)
+                add_duration(t - issue)
                 d_ranks.append(rank)
                 d_issued.append(issue)
                 d_completed.append(t)
-                d_cum_mean.append(w_mean)
-                d_cum_std.append(math.sqrt(w_m2 / w_count))
                 user_delivered[u] += 1
 
         report = MetricsReport(
             policy_label=self.config.policy.label(),
             seed=cfg.seed,
             elapsed=now,
-            horizon=quota * len(self.users),
             stats_warmup_s=warmup,
         )
         report.cache_labels = [self.labels[i] for i in self.caches]
@@ -537,7 +529,6 @@ class Simulation:
             if dec_count[i]:
                 report.decision_counts[self.labels[i]] = dec_count[i]
                 report.decision_prob_sums[self.labels[i]] = dec_prob_sum[i]
-                report.decision_accepts[self.labels[i]] = dec_accept[i]
         for i in self.users:
             report.rank_counters[self.labels[i]] = rank_req[i]
             report.user_request_counts[self.labels[i]] = user_issued[i]
@@ -548,14 +539,17 @@ class Simulation:
         report.delivery_ranks = d_ranks
         report.delivery_issued = d_issued
         report.delivery_completed = d_completed
-        report.delivery_cum_mean = d_cum_mean
-        report.delivery_cum_std = d_cum_std
-        for i, link in enumerate(self.uplink):
+        report.delivery_stats = d_stats
+        for link in self.uplink:
             if link is not None:
+                # every reservation was made at or before `now`, so the busy
+                # time past the end of the run is the one block
+                # [now, busy_until]; it is empty unless the time cap hit
+                busy = link.busy_seconds - max(0.0, link.busy_until - now)
                 report.links.append(LinkStats(label=link.label,
                                               capacity_bps=link.capacity_bps,
                                               bytes=link.bytes,
-                                              busy_seconds=link.busy_seconds))
+                                              busy_seconds=busy))
         return report
 
 

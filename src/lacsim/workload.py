@@ -80,8 +80,6 @@ class RequestSource:
     """One user population emitting a Poisson request process."""
 
     rate_lambda: float
-    rng_seed: int
-    user_id: int
 
     def __post_init__(self):
         if not np.isfinite(self.rate_lambda) or self.rate_lambda <= 0.0:

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lacsim.cache import (ALWAYS, ASYMMETRIC, FIXED_PROB, LATENCY_AWARE,
                           SYMMETRIC, EstimatorStateError, InsertionPolicy,
                           LatencyEstimator, LruCache, ProtocolError,
-                          decide_insertion, parse_policy, split_policy_list,
-                          with_mode)
+                          decide_insertion, parse_policy, split_policy_list)
 from lacsim.workload import make_stream
 
 
@@ -83,13 +82,6 @@ def test_policy_validation():
         InsertionPolicy(kind=LATENCY_AWARE, beta=-1.0)
 
 
-def test_with_mode_swaps_only_the_discipline():
-    base = parse_policy("lcp:0.2")
-    sym = with_mode(base, SYMMETRIC)
-    assert sym.p == 0.2 and sym.mtf_mode == SYMMETRIC
-    assert sym.label() == "sym:0.2"
-
-
 # ---------------------------------------------------------------- lru list
 
 def test_lru_order_and_eviction():
@@ -102,7 +94,7 @@ def test_lru_order_and_eviction():
     assert cache.order() == [1, 2]
     assert cache.insert(3) == 2
     assert cache.order() == [3, 1]
-    assert cache.occupancy == 2
+    assert len(cache) == 2
 
 
 def test_lookup_miss_changes_nothing():
@@ -122,7 +114,7 @@ def test_duplicate_insert_rejected():
 def test_zero_capacity_cache_stores_nothing():
     cache = LruCache(0)
     assert cache.insert(5) == 5
-    assert cache.occupancy == 0
+    assert len(cache) == 0
     assert cache.lookup(5, InsertionPolicy(), PoisonRng()) is False
 
 
@@ -170,23 +162,27 @@ def test_occupancy_never_exceeds_capacity(ops, capacity):
             cache.insert(rank)
         else:
             cache.lookup(rank, policy)
-        assert cache.occupancy <= capacity
+        assert len(cache) <= capacity
         order = cache.order()
-        assert len(order) == cache.occupancy == len(set(order))
+        assert len(order) == len(cache) == len(set(order))
 
 
 # ---------------------------------------------------------------- estimator
 
-def test_estimator_fifo_matching():
+def test_estimator_single_slot_matching():
     est = LatencyEstimator()
     est.record_forward(7, 1.0)
-    est.record_forward(7, 3.0)
-    assert est.inflight(7) == 2
+    est.record_forward(8, 3.0)
+    # pending-interest aggregation allows one outstanding forward per rank
+    with pytest.raises(ProtocolError):
+        est.record_forward(7, 2.0)
     assert est.measure_delta_t(7, 5.0) == pytest.approx(4.0)
-    assert est.measure_delta_t(7, 6.0) == pytest.approx(3.0)
-    assert est.inflight(7) == 0
+    assert est.measure_delta_t(8, 6.0) == pytest.approx(3.0)
+    # the measurement frees the slot for the next forward of the rank
     with pytest.raises(ProtocolError):
         est.measure_delta_t(7, 8.0)
+    est.record_forward(7, 9.0)
+    assert est.measure_delta_t(7, 9.5) == pytest.approx(0.5)
 
 
 def test_delta_t_from_mean_packet_arrival():

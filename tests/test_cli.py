@@ -1,5 +1,6 @@
 """Command line behavior: flags, exit codes, output files."""
 
+import math
 import os
 
 import pytest
@@ -84,6 +85,22 @@ def test_sim_runs_config_file(tmp_path, capsys):
     assert summary[2].startswith("lcp:0.5,")
 
 
+def test_sim_rejects_non_finite_config_values(tmp_path, capsys):
+    raw = dict(MINI_SCENARIO)
+    raw["links"] = [dict(MINI_SCENARIO["links"][0], capacity_bps=math.nan),
+                    MINI_SCENARIO["links"][1]]
+    path = tmp_path / "nan.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["sim", "--config", str(path),
+                 "--outdir", str(tmp_path / "nan")]) == 1
+    assert "capacity" in capsys.readouterr().err
+    # a flag that overwrites a loaded config is checked as well
+    path.write_text(yaml.safe_dump(MINI_SCENARIO))
+    assert main(["sim", "--config", str(path), "--warmup", "nan",
+                 "--outdir", str(tmp_path / "warm")]) == 1
+    assert "stats_warmup_s" in capsys.readouterr().err
+
+
 def test_outdir_defaults_to_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LACSIM_OUTDIR", str(tmp_path / "envout"))
     code = main(["sim", "--preset", "single", "--horizon", "120"])
@@ -160,3 +177,25 @@ def test_sweep_writes_batch_csv(tmp_path, capsys):
     assert rows[4].startswith("single,lcp:0.1,2,400,")
     # the two-parameter label is one quoted CSV field, not two columns
     assert rows[5].startswith('single,"lac:5,5",1,400,')
+
+
+def test_sweep_prints_per_policy_means(tmp_path, capsys):
+    outdir = tmp_path / "sweeps"
+    assert main(["sweep", "--preset", "line", "--policies", "lru,lac:5,5",
+                 "--seeds", "1-3", "--horizon", "300",
+                 "--outdir", str(outdir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["policy", "delivery", "stddev", "miss",
+                                "cache1->user1", "cache2->cache1",
+                                "cache3->cache2", "repo->cache3"]
+    table = {cols[0]: [float(c) for c in cols[1:]]
+             for cols in (line.split() for line in lines[1:3])}
+    assert list(table) == ["lru", "lac:5,5"]
+    rows = (outdir / "sweep.csv").read_text().splitlines()[1:]
+    lru = [row.split(",") for row in rows if row.startswith("line,lru,")]
+    assert len(lru) == 3
+    # columns 5..7 of sweep.csv: mean_delivery, stddev_delivery, overall_miss
+    for col, value in zip((5, 6, 7), table["lru"][:3]):
+        assert value == pytest.approx(sum(float(r[col]) for r in lru) / 3,
+                                      abs=5e-5)
+    assert all(0.0 < rho <= 1.0 for rho in table["lac:5,5"][3:])

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from lacsim.metrics import (SCHEMA_VERSION, DeliveryRecord, LinkStats,
-                            MetricsReport, link_load, running_stats)
+from lacsim.metrics import (SCHEMA_VERSION, LinkStats, MetricsReport,
+                            RunningStats, link_load)
 from lacsim.workload import make_stream
 
 
@@ -16,36 +16,41 @@ def two_pass(values):
     return mean, math.sqrt(var)
 
 
+def stats_of(values):
+    acc = RunningStats()
+    for v in values:
+        acc.add(v)
+    return acc
+
+
 def test_running_stats_hand_values():
-    assert running_stats([2.0]) == [(2.0, 0.0)]
-    seq = running_stats([2.0, 4.0])
-    assert seq[-1][0] == pytest.approx(3.0)
-    assert seq[-1][1] == pytest.approx(1.0)
-    seq = running_stats([1.0, 2.0, 3.0, 4.0])
-    mean, std = two_pass([1.0, 2.0, 3.0, 4.0])
-    assert seq[-1][0] == pytest.approx(mean)      # 2.5
-    assert seq[-1][1] == pytest.approx(std)       # sqrt(1.25), population
-    # every prefix agrees with a two-pass recomputation
-    for i, (m, s) in enumerate(seq, start=1):
-        pm, ps = two_pass([1.0, 2.0, 3.0, 4.0][:i])
-        assert m == pytest.approx(pm) and s == pytest.approx(ps)
+    empty = RunningStats()
+    assert (empty.count, empty.mean, empty.stddev) == (0, 0.0, 0.0)
+    acc = stats_of([2.0])
+    assert (acc.mean, acc.stddev) == (2.0, 0.0)
+    acc = stats_of([2.0, 4.0])
+    assert acc.mean == pytest.approx(3.0)
+    assert acc.stddev == pytest.approx(1.0)
+    values = [1.0, 2.0, 3.0, 4.0]
+    mean, std = two_pass(values)
+    acc = RunningStats()
+    for i, v in enumerate(values, start=1):
+        acc.add(v)
+        # every prefix agrees with a two-pass recomputation
+        pm, ps = two_pass(values[:i])
+        assert acc.mean == pytest.approx(pm) and acc.stddev == pytest.approx(ps)
+    assert acc.count == 4
+    assert acc.mean == pytest.approx(mean)        # 2.5
+    assert acc.stddev == pytest.approx(std)       # sqrt(1.25), population
 
 
 def test_running_stats_against_two_pass_large():
     gen = make_stream(21, 0)
     values = (gen.random(1_000_000) * 100.0).tolist()
-    final = running_stats(values)[-1]
+    acc = stats_of(values)
     mean, std = two_pass(values)
-    assert final[0] == pytest.approx(mean, rel=1e-9)
-    assert final[1] == pytest.approx(std, rel=1e-9)
-
-
-def test_running_stats_accepts_delivery_records():
-    recs = [DeliveryRecord(1, 5, 0.0, 2.0), DeliveryRecord(2, 1, 1.0, 5.0)]
-    assert recs[0].duration == pytest.approx(2.0)
-    seq = running_stats(recs)
-    assert seq[-1][0] == pytest.approx(3.0)
-    assert seq[-1][1] == pytest.approx(1.0)
+    assert acc.mean == pytest.approx(mean, rel=1e-9)
+    assert acc.stddev == pytest.approx(std, rel=1e-9)
 
 
 def test_link_load_values():
@@ -60,10 +65,8 @@ def test_link_load_values():
 
 
 def _small_report():
-    durations = [2.0, 4.0, 3.0]
-    cum = running_stats(durations)
     report = MetricsReport(
-        policy_label="lcp:0.1", seed=7, elapsed=10.0, horizon=3,
+        policy_label="lcp:0.1", seed=7, elapsed=10.0,
         cache_labels=["cacheA", "cacheB"],
         rank_counters={
             "cacheA": {1: [4, 3], 2: [2, 0]},
@@ -77,12 +80,10 @@ def _small_report():
         delivery_ranks=[1, 2, 1],
         delivery_issued=[0.0, 1.0, 2.0],
         delivery_completed=[2.0, 5.0, 5.0],
-        delivery_cum_mean=[m for m, _ in cum],
-        delivery_cum_std=[s for _, s in cum],
+        delivery_stats=stats_of([2.0, 4.0, 3.0]),
         links=[LinkStats("repo->cacheA", 30_000.0, 40_000, 4.0)],
         decision_counts={"cacheA": 4, "cacheB": 2},
         decision_prob_sums={"cacheA": 0.8, "cacheB": 1.0},
-        decision_accepts={"cacheA": 1, "cacheB": 1},
     )
     return report
 
@@ -122,16 +123,15 @@ def test_delivery_accessors():
     assert report.stddev_delivery() == pytest.approx(
         two_pass([2.0, 4.0, 3.0])[1])
     assert report.cum_mean_at(1) == pytest.approx(2.0)
+    assert report.cum_mean_at(2) == pytest.approx(3.0)
     assert report.cum_mean_at(3) == report.mean_delivery()
-    assert report.cum_std_at(1) == 0.0
     for bad in (0, 4):
         with pytest.raises(ValueError):
             report.cum_mean_at(bad)
-    recs = list(report.delivery_records())
-    assert [r.completion_seq for r in recs] == [1, 2, 3]
-    assert recs[1].duration == pytest.approx(4.0)
     with pytest.raises(ValueError):
         MetricsReport(policy_label="lru", seed=1).mean_delivery()
+    with pytest.raises(ValueError):
+        MetricsReport(policy_label="lru", seed=1).stddev_delivery()
 
 
 def test_link_accessors():
@@ -172,6 +172,8 @@ def test_csv_schema(tmp_path):
     delivery = (outdir / "delivery.csv").read_text().splitlines()
     assert delivery[1] == "completion_seq,rank,duration,cum_mean,cum_stddev"
     assert delivery[2].startswith("1,1,2.000000000,2.000000000,0.000000000")
+    # cumulative columns are rebuilt in completion order at export
+    assert delivery[4] == "3,1,3.000000000,3.000000000,0.816496581"
     assert len(delivery) == 2 + 3
 
     links = (outdir / "links.csv").read_text().splitlines()

@@ -112,8 +112,8 @@ def test_sampled_frequencies_match_weights():
 
 
 def test_interarrival_mean_and_scaling():
-    src1 = RequestSource(rate_lambda=1.0, rng_seed=7, user_id=1)
-    src2 = RequestSource(rate_lambda=2.0, rng_seed=7, user_id=1)
+    src1 = RequestSource(rate_lambda=1.0)
+    src2 = RequestSource(rate_lambda=2.0)
     gen_a = make_stream(7, 1)
     gen_b = make_stream(7, 1)
     gaps1 = [next_interarrival(src1, gen_a) for _ in range(200_000)]
@@ -125,7 +125,7 @@ def test_interarrival_mean_and_scaling():
 
 
 def test_interarrival_rejects_zero_draw():
-    src = RequestSource(rate_lambda=1.0, rng_seed=0, user_id=0)
+    src = RequestSource(rate_lambda=1.0)
     gap = next_interarrival(src, FixedRng([0.0, 0.0, 0.5]))
     assert gap == pytest.approx(-math.log(0.5), rel=1e-15)
 
@@ -133,7 +133,7 @@ def test_interarrival_rejects_zero_draw():
 def test_request_source_validation():
     for rate in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
-            RequestSource(rate_lambda=rate, rng_seed=1, user_id=1)
+            RequestSource(rate_lambda=rate)
 
 
 def test_streams_reproducible_and_distinct():
