@@ -19,6 +19,7 @@ is.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -69,6 +70,9 @@ class InsertionPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.mtf_mode not in (ASYMMETRIC, SYMMETRIC):
             raise ValueError(f"unknown mtf_mode {self.mtf_mode!r}")
+        if not all(math.isfinite(v) for v in (self.p, self.beta, self.gamma)):
+            raise ValueError(f"policy parameters must be finite, got p={self.p!r}, "
+                             f"beta={self.beta!r}, gamma={self.gamma!r}")
         if self.kind == FIXED_PROB and not 0.0 <= self.p <= 1.0:
             raise ValueError(f"fixed insertion probability must be in [0, 1], got {self.p!r}")
         if self.kind == LATENCY_AWARE and (self.beta < 0.0 or self.gamma < 0.0):

@@ -52,23 +52,18 @@ def _outdir(args, default_leaf: str) -> str:
 
 
 def _build_config(args) -> ScenarioConfig:
-    # flags override a YAML file only when given explicitly, so their
-    # argparse defaults are None and the preset fallbacks live here
-    if args.config:
-        config = load_scenario(args.config)
-        if args.policy:
-            config.policy = config.resolve_policy(args.policy)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.horizon is not None:
-            config.requests_per_user = args.horizon
-        if args.warmup is not None:
-            config.stats_warmup_s = args.warmup
-        return config
-    return preset(args.preset, policy=args.policy or "lru",
-                  seed=1 if args.seed is None else args.seed,
-                  requests_per_user=args.horizon or 200_000,
-                  stats_warmup_s=args.warmup or 0.0)
+    # flags override the YAML file or the preset only when given, so their
+    # argparse defaults are None (or "" for --policy); Simulation validates
+    config = load_scenario(args.config) if args.config else preset(args.preset)
+    if args.policy:
+        config.policy = config.resolve_policy(args.policy)
+    if args.seed is not None:
+        config.seed = args.seed
+    if args.horizon is not None:
+        config.requests_per_user = args.horizon
+    if args.warmup is not None:
+        config.stats_warmup_s = args.warmup
+    return config
 
 
 def cmd_sim(args) -> int:
@@ -220,15 +215,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_scenario_flags(sub, with_policy=True):
+def _add_scenario_flags(sub):
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--preset", choices=PRESET_NAMES, default="single",
                        help="built in topology (default: single)")
     group.add_argument("--config", metavar="PATH",
                        help="YAML scenario file instead of a preset")
-    if with_policy:
-        sub.add_argument("--policy", default="",
-                         help="lru | lcp:<p> | sym:<p> | sym-la | lac:<b>,<g>")
+    sub.add_argument("--policy", default="",
+                     help="lru | lcp:<p> | sym:<p> | sym-la | lac:<b>,<g>")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--horizon", type=int, default=None, metavar="N",
                      help="requests per user (default: 200000)")

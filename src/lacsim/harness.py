@@ -28,7 +28,6 @@ class RunSummary:
     overall_miss: float
     link_loads: dict = field(default_factory=dict)
     cum_means: dict = field(default_factory=dict)
-    decision_probs: dict = field(default_factory=dict)
 
     CSV_FIELDS = ("name", "policy_label", "seed", "requests", "elapsed",
                   "mean_delivery", "stddev_delivery", "overall_miss")
@@ -42,8 +41,6 @@ class RunSummary:
 def summarize(config: ScenarioConfig, report: MetricsReport,
               cum_marks=()) -> RunSummary:
     loads = {ls.label: link_load(ls, report.elapsed) for ls in report.links}
-    probs = {label: report.decision_prob_sums[label] / count
-             for label, count in report.decision_counts.items()}
     marks = {seq: report.cum_mean_at(seq) for seq in cum_marks
              if seq <= report.deliveries}
     return RunSummary(
@@ -57,7 +54,6 @@ def summarize(config: ScenarioConfig, report: MetricsReport,
         overall_miss=report.overall_miss(),
         link_loads=loads,
         cum_means=marks,
-        decision_probs=probs,
     )
 
 

@@ -80,7 +80,9 @@ class MetricsReport:
 
     rank_counters / rank_counters_late map node label -> rank -> [requests,
     hits]; the late window starts at stats_warmup_s into the run and serves
-    steady-state comparisons. Deliveries are stored column-wise in
+    steady-state comparisons. node_totals maps each cache label to its
+    [requests, hits, forwards, joins]; user_request_counts maps each user
+    label to the requests it issued. Deliveries are stored column-wise in
     completion order; delivery_stats accumulates their durations in that
     order, and the cumulative mean/stddev at any completion index is rebuilt
     from the columns with the same accumulator.
@@ -94,7 +96,7 @@ class MetricsReport:
     cache_labels: list = field(default_factory=list)
     rank_counters: dict = field(default_factory=dict)
     rank_counters_late: dict = field(default_factory=dict)
-    node_totals: dict = field(default_factory=dict)  # label -> [req, hit, fwd, join]
+    node_totals: dict = field(default_factory=dict)  # cache -> [req, hit, fwd, join]
     user_request_counts: dict = field(default_factory=dict)
     repo_requests: int = 0
     user_requests: int = 0
@@ -139,16 +141,6 @@ class MetricsReport:
 
     # -- per-rank counters --------------------------------------------------
 
-    def miss_ratio(self, node_label: str, rank: int, late: bool = False) -> float:
-        counters = self.rank_counters_late if late else self.rank_counters
-        try:
-            requests, hits = counters[node_label][rank]
-        except KeyError:
-            raise ValueError(f"no requests recorded for {node_label!r} rank {rank}")
-        if requests == 0:
-            raise ValueError(f"zero requests for {node_label!r} rank {rank}")
-        return (requests - hits) / requests
-
     def miss_curve(self, node_label: str, max_rank: int, late: bool = False) -> dict:
         """rank -> miss ratio for ranks 1..max_rank that saw any requests."""
         counters = self.rank_counters_late if late else self.rank_counters
@@ -168,16 +160,7 @@ class MetricsReport:
             raise ValueError("no user requests recorded")
         return self.repo_requests / self.user_requests
 
-    # -- links and decisions -------------------------------------------------
-
-    def link(self, label: str) -> LinkStats:
-        for ls in self.links:
-            if ls.label == label:
-                return ls
-        raise KeyError(f"no link labelled {label!r}")
-
-    def load(self, label: str) -> float:
-        return link_load(self.link(label), self.elapsed)
+    # -- decisions -----------------------------------------------------------
 
     def mean_decision_prob(self, node_label: str = None) -> float:
         if node_label is not None:
@@ -240,10 +223,14 @@ class MetricsReport:
                 fh.write(f"{ls.label},{ls.bytes},"
                          f"{link_load(ls, self.elapsed):.9f}\n")
 
+        # a run in which no cache decided on an insertion (every cache at
+        # capacity 0) has no mean decision probability: the field is empty
+        mean_p = (f"{self.mean_decision_prob():.9f}"
+                  if any(self.decision_counts.values()) else "")
         with open(os.path.join(outdir, "summary.csv"), "w", newline="") as fh:
             self._header(fh)
             fh.write("policy,mean_delivery,stddev_delivery,overall_miss,"
                      "mean_decision_prob\n")
             fh.write(f"{csv_field(self.policy_label)},{self.mean_delivery():.9f},"
                      f"{self.stddev_delivery():.9f},{self.overall_miss():.9f},"
-                     f"{self.mean_decision_prob():.9f}\n")
+                     f"{mean_p}\n")

@@ -30,6 +30,7 @@ runs exactly, and adding nodes never perturbs existing streams.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
@@ -256,17 +257,23 @@ class Link:
 
 
 class _PitEntry:
-    __slots__ = ("expected", "received", "arrival_sum", "cache_faces",
-                 "user_reqs", "late_cache_faces", "late_user_reqs")
+    """One retrieval pending at a cache.
 
-    def __init__(self, expected: int):
-        self.expected = expected
+    received counts the object's data packets that have arrived and
+    arrival_sum adds up their arrival times. faces and late map each
+    requesting face (the child node the data goes down to) to the issue
+    times of its user requests, or to None for a cache face. A face in
+    faces joined before the first packet, or is a user face already there,
+    and is sent every packet as it is forwarded; a face in late joined
+    midway and is sent a whole copy when the last packet arrives."""
+
+    __slots__ = ("received", "arrival_sum", "faces", "late")
+
+    def __init__(self):
         self.received = 0
         self.arrival_sum = 0.0
-        self.cache_faces = []
-        self.user_reqs = {}
-        self.late_cache_faces = []
-        self.late_user_reqs = {}
+        self.faces = {}
+        self.late = {}
 
 
 class Simulation:
@@ -324,7 +331,6 @@ class Simulation:
         model = self.model
         parent = self.parent
         uplink = self.uplink
-        kinds = self.kinds
         capacity = self.capacity
         policies = self.policy
         stores = self.store
@@ -332,7 +338,7 @@ class Simulation:
         pits = self.pit
         rngs = self.rng
         repo = self.repo
-        n_nodes = len(kinds)
+        n_nodes = len(self.kinds)
 
         rank_req = [dict() for _ in range(n_nodes)]
         rank_req_late = [dict() for _ in range(n_nodes)]
@@ -340,9 +346,7 @@ class Simulation:
         dec_count = [0] * n_nodes
         dec_prob_sum = [0.0] * n_nodes
         user_issued = [0] * n_nodes
-        user_delivered = [0] * n_nodes
         repo_requests = 0
-        user_requests = 0
 
         d_ranks = []
         d_issued = []
@@ -350,15 +354,25 @@ class Simulation:
         d_stats = RunningStats()
         add_duration = d_stats.add
 
-        heap = []
-        seq = 0
-        for u in self.users:
-            gap = next_interarrival(self.sources[u], rngs[u])
-            heap.append((gap, seq, _REQUEST, u))
-            seq += 1
+        tick = itertools.count()
+        heap = [(next_interarrival(self.sources[u], rngs[u]), next(tick),
+                 _REQUEST, u) for u in self.users]
         heap.sort()
 
-        emitted = [0] * n_nodes
+        def send_object(face, rank, issues, t):
+            """Reserve one whole object on the link down to face at time t.
+            A user face gets one _COMPLETE at the last packet's arrival; a
+            cache face (issues is None) gets one _DATA per packet."""
+            link = uplink[face]
+            if issues is None:
+                for _ in range(ppo):
+                    heappush(heap, (link.transmit_packet(t), next(tick), _DATA,
+                                    face, rank))
+                return
+            for _ in range(ppo):
+                arr = link.transmit_packet(t)
+            heappush(heap, (arr, next(tick), _COMPLETE, face, rank, issues))
+
         now = 0.0
 
         while heap:
@@ -377,18 +391,17 @@ class Simulation:
                 e = pits[node][rank]
                 e.received += 1
                 e.arrival_sum += t
-                finished = e.received == e.expected
-                for f in e.cache_faces:
-                    heappush(heap, (uplink[f].transmit_packet(t), seq, _DATA, f, rank))
-                    seq += 1
-                for u, issues in e.user_reqs.items():
-                    arr = uplink[u].transmit_packet(t)
-                    if finished:
-                        heappush(heap, (arr, seq, _COMPLETE, u, rank, issues))
-                        seq += 1
+                finished = e.received == ppo
+                for f, issues in e.faces.items():
+                    arr = uplink[f].transmit_packet(t)
+                    if issues is None:
+                        heappush(heap, (arr, next(tick), _DATA, f, rank))
+                    elif finished:
+                        heappush(heap, (arr, next(tick), _COMPLETE, f, rank,
+                                        issues))
                 if finished:
                     est = estimators[node]
-                    delta = est.measure_delta_t(rank, e.arrival_sum / e.expected)
+                    delta = est.measure_delta_t(rank, e.arrival_sum / ppo)
                     if capacity[node] > 0:
                         dec, prob = decide_insertion(policies[node], delta, est,
                                                      rngs[node])
@@ -397,34 +410,21 @@ class Simulation:
                         if dec:
                             stores[node].insert(rank, prob)
                             est.update(delta)
-                    for f in e.late_cache_faces:
-                        link = uplink[f]
-                        for _ in range(ppo):
-                            heappush(heap, (link.transmit_packet(t), seq, _DATA,
-                                            f, rank))
-                            seq += 1
-                    for u, issues in e.late_user_reqs.items():
-                        link = uplink[u]
-                        arr = t
-                        for _ in range(ppo):
-                            arr = link.transmit_packet(t)
-                        heappush(heap, (arr, seq, _COMPLETE, u, rank, issues))
-                        seq += 1
+                    for f, issues in e.late.items():
+                        send_object(f, rank, issues, t)
                     del pits[node][rank]
                 continue
 
             if kind == _INTEREST:
+                # issue is the user's request time, or None when frm is a cache
                 node = ev[3]
                 rank = ev[4]
                 frm = ev[5]
                 issue = ev[6]
+                issues = None if issue is None else [issue]
                 if node == repo:
                     repo_requests += 1
-                    link = uplink[frm]
-                    for _ in range(ppo):
-                        heappush(heap, (link.transmit_packet(t), seq, _DATA,
-                                        frm, rank))
-                        seq += 1
+                    send_object(frm, rank, issues, t)
                     continue
                 tot = totals[node]
                 tot[0] += 1
@@ -443,77 +443,47 @@ class Simulation:
                     ent[1] += 1
                     if late_win:
                         lent[1] += 1
-                    link = uplink[frm]
-                    if kinds[frm] == USER:
-                        arr = t
-                        for _ in range(ppo):
-                            arr = link.transmit_packet(t)
-                        heappush(heap, (arr, seq, _COMPLETE, frm, rank, [issue]))
-                        seq += 1
-                    else:
-                        for _ in range(ppo):
-                            heappush(heap, (link.transmit_packet(t), seq, _DATA,
-                                            frm, rank))
-                            seq += 1
+                    send_object(frm, rank, issues, t)
                     continue
                 e = pits[node].get(rank)
                 if e is not None:
                     tot[3] += 1
-                    if kinds[frm] == USER:
-                        if frm in e.user_reqs:
-                            e.user_reqs[frm].append(issue)
-                        elif e.received == 0:
-                            e.user_reqs[frm] = [issue]
-                        else:
-                            e.late_user_reqs.setdefault(frm, []).append(issue)
+                    faces = e.faces if e.received == 0 or frm in e.faces else e.late
+                    if issues is not None and frm in faces:
+                        faces[frm].append(issue)
                     else:
-                        if e.received == 0:
-                            e.cache_faces.append(frm)
-                        else:
-                            e.late_cache_faces.append(frm)
+                        faces[frm] = issues
                     continue
                 tot[2] += 1
-                e = _PitEntry(ppo)
-                if kinds[frm] == USER:
-                    e.user_reqs[frm] = [issue]
-                else:
-                    e.cache_faces.append(frm)
-                pits[node][rank] = e
+                e = pits[node][rank] = _PitEntry()
+                e.faces[frm] = issues
                 estimators[node].record_forward(rank, t)
-                up = parent[node]
-                heappush(heap, (t + uplink[node].prop_s, seq, _INTEREST, up,
-                                rank, node, 0.0))
-                seq += 1
+                heappush(heap, (t + uplink[node].prop_s, next(tick), _INTEREST,
+                                parent[node], rank, node, None))
                 continue
 
             if kind == _REQUEST:
                 u = ev[3]
-                emitted[u] += 1
-                if emitted[u] < quota:
-                    gap = next_interarrival(self.sources[u], rngs[u])
-                    heappush(heap, (t + gap, seq, _REQUEST, u))
-                    seq += 1
-                rank = sample_rank(model, rngs[u])
-                user_requests += 1
                 user_issued[u] += 1
+                if user_issued[u] < quota:
+                    gap = next_interarrival(self.sources[u], rngs[u])
+                    heappush(heap, (t + gap, next(tick), _REQUEST, u))
+                rank = sample_rank(model, rngs[u])
                 ent = rank_req[u].get(rank)
                 if ent is None:
                     ent = rank_req[u][rank] = [0, 0]
                 ent[0] += 1
-                heappush(heap, (t + uplink[u].prop_s, seq, _INTEREST,
+                heappush(heap, (t + uplink[u].prop_s, next(tick), _INTEREST,
                                 parent[u], rank, u, t))
-                seq += 1
                 continue
 
             # _COMPLETE: the object's last data packet reached user ev[3]
-            u = ev[3]
             rank = ev[4]
             for issue in ev[5]:
                 add_duration(t - issue)
                 d_ranks.append(rank)
                 d_issued.append(issue)
                 d_completed.append(t)
-                user_delivered[u] += 1
 
         report = MetricsReport(
             policy_label=self.config.policy.label(),
@@ -532,10 +502,8 @@ class Simulation:
         for i in self.users:
             report.rank_counters[self.labels[i]] = rank_req[i]
             report.user_request_counts[self.labels[i]] = user_issued[i]
-            report.node_totals[self.labels[i]] = [user_issued[i],
-                                                  user_delivered[i], 0, 0]
         report.repo_requests = repo_requests
-        report.user_requests = user_requests
+        report.user_requests = sum(user_issued)
         report.delivery_ranks = d_ranks
         report.delivery_issued = d_issued
         report.delivery_completed = d_completed

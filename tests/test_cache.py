@@ -54,7 +54,8 @@ def test_policy_defaults_come_from_keywords():
 
 
 def test_policy_parse_errors():
-    for text in ("lru:1", "lcp:x", "lac:5", "lac:1,2,3", "bogus", "sym:"):
+    for text in ("lru:1", "lcp:x", "lac:5", "lac:1,2,3", "bogus", "sym:",
+                 "lac:nan,5", "lac:5,inf", "sym-la:nan,1"):
         with pytest.raises(ValueError):
             parse_policy(text)
 

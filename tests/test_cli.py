@@ -33,6 +33,8 @@ CSV_BUNDLE = ("miss_prob.csv", "delivery.csv", "links.csv", "summary.csv")
 
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sim", "--policy", "lcp:zz", "--horizon", "10"]) == 1
+    assert main(["sim", "--policy", "lac:nan,5", "--horizon", "10",
+                 "--outdir", str(tmp_path / "nan")]) == 1
     assert main(["sim", "--preset", "bogus"]) == 1
     assert main(["sim", "--config", str(tmp_path / "missing.yaml")]) == 1
     assert main([]) == 1
@@ -99,6 +101,35 @@ def test_sim_rejects_non_finite_config_values(tmp_path, capsys):
     assert main(["sim", "--config", str(path), "--warmup", "nan",
                  "--outdir", str(tmp_path / "warm")]) == 1
     assert "stats_warmup_s" in capsys.readouterr().err
+
+
+def test_sim_rejects_zero_horizon_on_both_paths(tmp_path, capsys):
+    assert main(["sim", "--preset", "single", "--horizon", "0",
+                 "--outdir", str(tmp_path / "preset")]) == 1
+    path = tmp_path / "mini.yaml"
+    path.write_text(yaml.safe_dump(MINI_SCENARIO))
+    assert main(["sim", "--config", str(path), "--horizon", "0",
+                 "--outdir", str(tmp_path / "config")]) == 1
+    assert "requests_per_user" in capsys.readouterr().err
+    assert not (tmp_path / "preset").exists()
+
+
+def test_sim_without_insertion_decisions_writes_bundle(tmp_path, capsys):
+    # a zero-capacity cache never decides on insertion, so the summary's
+    # mean decision probability is left empty
+    raw = dict(MINI_SCENARIO)
+    raw["nodes"] = [dict(n) for n in MINI_SCENARIO["nodes"]]
+    raw["nodes"][1]["cache_capacity_objects"] = 0
+    path = tmp_path / "nocache.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    outdir = tmp_path / "out"
+    assert main(["sim", "--config", str(path), "--outdir", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(CSV_BUNDLE)
+    summary = (outdir / "summary.csv").read_text().splitlines()
+    assert len(summary) == 3
+    assert summary[2].startswith("lru,")
+    assert summary[2].split(",")[-1] == ""
+    capsys.readouterr()
 
 
 def test_outdir_defaults_to_environment(tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from lacsim.analytics import miss_asym, solve_tau
+from lacsim.metrics import link_load
 from lacsim.netsim import (CACHE, REPOSITORY, USER, ConfigError, Link,
                            LinkSpec, NodeSpec, ScenarioConfig, Simulation,
                            Topology, load_scenario, preset, run_scenario,
@@ -113,9 +114,9 @@ def test_flow_conservation(name, horizon):
         assert req == hit + fwd + join
         assert req == sum(c[0] for c in report.rank_counters[label].values())
         assert hit == sum(c[1] for c in report.rank_counters[label].values())
+    assert list(report.node_totals) == report.cache_labels
     for label, issued in report.user_request_counts.items():
         assert issued == horizon
-        assert report.node_totals[label][0] == horizon
     assert report.user_requests == horizon * len(report.user_request_counts)
     assert report.deliveries == report.user_requests
     # interests the repository saw = forwards of its adjacent cache
@@ -167,15 +168,47 @@ GOLDEN_BUNDLES = [
 ]
 
 
+# Two users under a two-cache chain: cache 4 serves user 2 and cache 3, so
+# its pending entries mix user and cache faces, and the slow repository link
+# leaves time for faces of both kinds to join midway through a retrieval
+MIXED_FACES = {
+    "seed": 1, "catalog_size": 20, "zipf_alpha": 1.2,
+    "request_rate_per_user": 1.0, "object_size_bytes": 40_000,
+    "packet_size_bytes": 10_000, "requests_per_user": 2000,
+    "policy": "lac:2,2",
+    "nodes": [{"id": 1, "kind": "user"}, {"id": 2, "kind": "user"},
+              {"id": 3, "kind": "cache", "cache_capacity_objects": 3},
+              {"id": 4, "kind": "cache", "cache_capacity_objects": 2},
+              {"id": 5, "kind": "repository"}],
+    "links": [{"down": 1, "up": 3, "capacity_bps": 1e6},
+              {"down": 3, "up": 4, "capacity_bps": 1e6},
+              {"down": 2, "up": 4, "capacity_bps": 1e6},
+              {"down": 4, "up": 5, "capacity_bps": 400_000.0,
+               "prop_delay_s": 0.01}],
+}
+GOLDEN_MIXED_FACES = \
+    "6552965fd9b9f95e6ef0ec2bc6c76059d112cb30bbd4e9a7b9942589f69376d8"
+
+
+def bundle_sha(report, outdir) -> str:
+    report.export_csv(str(outdir))
+    digest = hashlib.sha256()
+    for path in sorted(outdir.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name,policy,horizon,sha", GOLDEN_BUNDLES)
 def test_bundle_matches_golden_sha(name, policy, horizon, sha, tmp_path):
     report = run_scenario(preset(name, policy=policy, seed=1,
                                  requests_per_user=horizon))
-    report.export_csv(str(tmp_path))
-    digest = hashlib.sha256()
-    for path in sorted(tmp_path.iterdir()):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == sha
+    assert bundle_sha(report, tmp_path) == sha
+
+
+def test_mixed_face_bundle_matches_golden_sha(tmp_path):
+    report = run_scenario(scenario_from_dict(MIXED_FACES))
+    assert report.deliveries == 4000
+    assert bundle_sha(report, tmp_path) == GOLDEN_MIXED_FACES
 
 
 def test_seed_changes_the_run():
@@ -202,7 +235,8 @@ def test_lac_never_loads_repo_more_than_lru():
                               requests_per_user=30_000))
     lac = run_scenario(preset("single", policy="lac:5,5", seed=1,
                               requests_per_user=30_000))
-    assert lac.link("repo->cache1").bytes <= lru.link("repo->cache1").bytes
+    assert lac.links[-1].label == lru.links[-1].label == "repo->cache1"
+    assert lac.links[-1].bytes <= lru.links[-1].bytes
 
 
 # ------------------------------------------------------------- accounting
@@ -214,7 +248,7 @@ def test_warmup_window_splits_counters():
     full = report.rank_counters["cache1"][1][0]
     late = report.rank_counters_late["cache1"][1][0]
     assert 0 < late < full
-    assert 0.0 <= report.miss_ratio("cache1", 1, late=True) <= 1.0
+    assert 0.0 <= report.miss_curve("cache1", 1, late=True)[1] <= 1.0
 
 
 def test_pending_interest_aggregation():
@@ -253,10 +287,9 @@ def test_time_cap_clips_elapsed_and_busy_time():
     report = run_scenario(config)
     assert report.deliveries < 2000
     assert report.elapsed == 300.0
-    repo_rho = report.load("repo->cache1")
-    assert 0.9 < repo_rho <= 1.0
-    for ls in report.links:
-        assert 0.0 < report.load(ls.label) <= 1.0
+    rho = {ls.label: link_load(ls, report.elapsed) for ls in report.links}
+    assert 0.9 < rho["repo->cache1"] <= 1.0
+    assert all(0.0 < r <= 1.0 for r in rho.values())
 
 
 # ------------------------------------------------------------- validation
