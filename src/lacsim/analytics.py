@@ -112,8 +112,24 @@ def miss_asym(lam, tau: float, mean_p: float):
     exp(-lam tau) / (1 - (1 - exp(-lam tau)) (1 - mean_p)); lam may be an
     array of per-rank request rates.
     """
-    e = np.exp(-np.asarray(lam, dtype=np.float64) * tau)
-    return _clamp01(e / (1.0 - (1.0 - e) * (1.0 - mean_p)))
+    lam = np.asarray(lam, dtype=np.float64)
+    miss = _miss_asym_into(lam, tau, mean_p, np.empty_like(lam), np.empty_like(lam))
+    return miss if miss.ndim else miss[()]
+
+
+def _miss_asym_into(lam: np.ndarray, tau: float, mean_p: float,
+                    e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """miss_asym of the float64 array lam, computed in the caller's arrays:
+    e holds exp(-lam tau) and out the result, clamped (a clamp that fires
+    returns a new array)."""
+    np.negative(lam, out=e)
+    np.multiply(e, tau, out=e)
+    np.exp(e, out=e)
+    np.subtract(1.0, e, out=out)
+    np.multiply(out, 1.0 - mean_p, out=out)
+    np.subtract(1.0, out, out=out)
+    np.divide(e, out, out=out)
+    return _clamp01(out)
 
 
 def miss_mixture(prob_dist, phi_val: float):
@@ -170,9 +186,14 @@ def solve_tau(x: float, rate_lambda: float, popularity, mean_p: float = 1.0) -> 
     if rate_lambda <= 0.0:
         raise ValueError(f"rate_lambda must be positive, got {rate_lambda!r}")
     lam = rate_lambda * weights
+    e, miss = np.empty_like(lam), np.empty_like(lam)
 
     def g(tau):
-        return float(np.sum(1.0 - miss_asym(lam, tau, mean_p))) - x
+        # occupancy minus x, evaluated in the two arrays above: a bisection
+        # step allocates nothing
+        hit = _miss_asym_into(lam, tau, mean_p, e, miss)
+        np.subtract(1.0, hit, out=hit)
+        return float(np.sum(hit)) - x
 
     lo, hi = 0.0, 1.0
     expansions = 0

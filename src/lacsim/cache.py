@@ -35,7 +35,6 @@ __all__ = [
     "decide_insertion",
     "parse_policy",
     "ProtocolError",
-    "EstimatorStateError",
 ]
 
 # mtf_mode values
@@ -51,10 +50,6 @@ LATENCY_AWARE = "latency_aware"
 class ProtocolError(RuntimeError):
     """A rank was forwarded twice before its latency was measured, or
     measured without a forward."""
-
-
-class EstimatorStateError(RuntimeError):
-    """The latency estimator is in a state the policy cannot evaluate."""
 
 
 @dataclass(frozen=True)
@@ -252,13 +247,16 @@ class LatencyEstimator:
         """Latency against the outstanding forward timestamp for rank.
 
         For a multi-packet object, call with the mean packet arrival time;
-        the result is then the mean of the per-packet latencies. Raises
-        ProtocolError when no forward was recorded.
+        the result is then the mean of the per-packet latencies. That mean
+        can round to just below the forward time when the latencies vanish,
+        so the result is never less than 0. Raises ProtocolError when no
+        forward was recorded.
         """
         t_fwd = self._inflight.pop(rank, None)
         if t_fwd is None:
             raise ProtocolError(f"no forward timestamp outstanding for rank {rank!r}")
-        return now - t_fwd
+        delta = now - t_fwd
+        return delta if delta > 0.0 else 0.0
 
     def update(self, delta_t: float):
         """Fold one accepted retrieval latency into the running mean."""
@@ -272,8 +270,10 @@ def decide_insertion(policy: InsertionPolicy, delta_t: float,
 
     Always decides True without consuming a draw. The stochastic policies
     consume exactly one uniform draw. LatencyAware bootstraps with
-    probability one while the estimator is empty; afterwards the probability
-    is min(delta_t**beta / mean_f**gamma, 1).
+    probability one while the estimator is empty, and also while
+    mean_f**gamma is 0 (every latency it admitted vanished, or the power
+    underflows); otherwise the probability is
+    min(delta_t**beta / mean_f**gamma, 1).
 
     The caller is responsible for calling estimator.update(delta_t) when the
     decision is positive and the object is inserted.
@@ -283,14 +283,11 @@ def decide_insertion(policy: InsertionPolicy, delta_t: float,
     if policy.kind == FIXED_PROB:
         prob = policy.p
     else:
-        if estimator.count == 0:
+        norm = estimator.mean_f ** policy.gamma
+        if estimator.count == 0 or norm == 0.0:
             prob = 1.0
         else:
-            if estimator.mean_f <= 0.0:
-                raise EstimatorStateError(
-                    f"mean_f={estimator.mean_f!r} with count={estimator.count}; "
-                    "cannot normalize a latency-aware decision")
-            prob = (delta_t ** policy.beta) / (estimator.mean_f ** policy.gamma)
+            prob = (delta_t ** policy.beta) / norm
             if prob > 1.0:
                 prob = 1.0
     return rng.random() < prob, prob

@@ -117,12 +117,19 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _model_curve(config: ScenarioConfig, mean_p: float, mtf_mode: str, ranks):
-    """Per-rank steady state miss probability at a leaf cache."""
-    leaf = min((c for c in config.topology.nodes if c.kind == "cache"
-                and c.cache_capacity_objects > 0),
-               key=lambda c: c.node_id)
-    x = leaf.cache_capacity_objects
+def _gated_cache(config: ScenarioConfig):
+    """The cache that compare checks against the model: the lowest-id cache
+    with capacity > 0 (the leaf, in the presets)."""
+    caches = [n for n in config.topology.nodes
+              if n.kind == "cache" and n.cache_capacity_objects > 0]
+    if not caches:
+        raise ConfigError("compare needs a cache with capacity > 0")
+    return min(caches, key=lambda n: n.node_id)
+
+
+def _model_curve(config: ScenarioConfig, x: int, mean_p: float, mtf_mode: str,
+                 ranks):
+    """Per-rank steady state miss probability at a cache of x objects."""
     if mtf_mode == SYMMETRIC:
         return [float(miss_sym(k, x, config.zipf_alpha)) for k in ranks]
     popularity = zipf_weights(config.catalog_size, config.zipf_alpha)
@@ -134,8 +141,9 @@ def _model_curve(config: ScenarioConfig, mean_p: float, mtf_mode: str, ranks):
 
 def cmd_compare(args) -> int:
     config = _build_config(args)
+    cache = _gated_cache(config)
+    label = cache.label
     report = Simulation(config).run()
-    label = min(report.cache_labels)
     policy = config.policy
     if policy.kind == LATENCY_AWARE:
         mean_p = report.mean_decision_prob(label)
@@ -147,7 +155,8 @@ def cmd_compare(args) -> int:
     else:
         raise ProtocolError(f"no comparable model for {policy.label()}")
     ranks = range(1, GATE_RANKS + 1)
-    model = _model_curve(config, mean_p, policy.mtf_mode, ranks)
+    model = _model_curve(config, cache.cache_capacity_objects, mean_p,
+                         policy.mtf_mode, ranks)
     late = config.stats_warmup_s > 0
     curve = report.miss_curve(label, GATE_RANKS, late=late)
     worst = 0.0

@@ -16,12 +16,19 @@ packet receive the stream as it is forwarded; a requester that joins midway
 through the stream is sent a complete copy when the retrieval finishes (the
 node is holding the reassembled object at that moment).
 
-Events are ordered by (time, sequence); the sequence number makes ties
-deterministic. Links never need idle/busy events: a FIFO link is fully
-described by the time its output becomes free, so each transmission is
-scheduled arithmetically (start = max(now, busy_until)) and only packet
-arrivals enter the event queue. Interests are zero-sized and incur only
-propagation delay; only the data direction is capacitated.
+Links never need idle/busy events: a FIFO link is fully described by the
+time its output becomes free, so each transmission is scheduled
+arithmetically (start = max(now, busy_until)). Events are requests, interest
+arrivals, and the arrival of an object's last packet at each hop (at a cache,
+or at a user, where it completes the delivery). The earlier packets of an
+object bound for a cache are not events: they wait in a FIFO owned by that
+cache and are applied just before the first event at that cache, or at a
+cache or user below it, that they precede (see Simulation.run). Every
+packet and event is keyed by (time, tick), with ticks drawn from one counter
+in scheduling order, so ties resolve deterministically: packets on one link
+in reservation order, and a packet against an event in the order they were
+scheduled. Interests are zero-sized and incur only propagation delay; only
+the data direction is capacitated.
 
 Determinism: every stochastic choice draws from a per-node Philox stream
 keyed by scenario_seed XOR node_id, so equal configs and seeds reproduce
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
@@ -259,13 +267,14 @@ class Link:
 class _PitEntry:
     """One retrieval pending at a cache.
 
-    received counts the object's data packets that have arrived and
-    arrival_sum adds up their arrival times. faces and late map each
-    requesting face (the child node the data goes down to) to the issue
-    times of its user requests, or to None for a cache face. A face in
-    faces joined before the first packet, or is a user face already there,
-    and is sent every packet as it is forwarded; a face in late joined
-    midway and is sent a whole copy when the last packet arrives."""
+    received counts the object's data packets applied so far and
+    arrival_sum adds up their arrival times; the last packet closes the
+    entry. faces and late map each requesting face (the child node the data
+    goes down to) to the issue times of its user requests, or to None for a
+    cache face. A face in faces joined before the first packet, or is a
+    user face already there, and is sent every packet as it is forwarded; a
+    face in late joined midway and is sent a whole copy when the last
+    packet arrives."""
 
     __slots__ = ("received", "arrival_sum", "faces", "late")
 
@@ -304,6 +313,18 @@ class Simulation:
         self.caches = [i for i, k in enumerate(self.kinds) if k == CACHE]
         self.repo = next(i for i, k in enumerate(self.kinds) if k == REPOSITORY)
 
+        # upstream[i]: the caches on the path from the repository down to i
+        # (i included when it is a cache), root side first
+        def caches_above(i):
+            path = []
+            while i != self.repo:
+                if self.kinds[i] == CACHE:
+                    path.append(i)
+                i = self.parent[i]
+            return tuple(reversed(path))
+
+        self.upstream = [caches_above(i) for i in range(len(nodes))]
+
         self.policy = [None] * len(nodes)
         self.store = [None] * len(nodes)
         self.estimator = [None] * len(nodes)
@@ -323,6 +344,35 @@ class Simulation:
             self.rng[i] = DrawBuffer(make_stream(config.seed, spec.node_id))
 
     def run(self) -> MetricsReport:
+        """Run to completion (or to the time cap) and return the report.
+
+        Only the last packet of an object is a heap event at each hop. The
+        earlier ones wait, as (arrival, tick, rank), in a FIFO owned by the
+        cache they are bound for, and are applied (counted, added to the
+        pending entry's arrival_sum and forwarded on every face) when an
+        event reaches that cache or a cache or user below it, root side
+        first; and at the time cap, for arrivals up to the cap. The result is
+        the same as with one event per packet, to the byte:
+
+        - Every key (time, tick) comes from one counter, so a queued packet
+          and an event compare as the per-packet loop's (time, sequence)
+          would. A cache is fed by one FIFO link, so its queue is sorted by
+          key, and an event that drains queues up to its own key applies
+          exactly the packets the per-packet loop would have handled before
+          it, at that cache and at every cache above it.
+        - A queued packet pushes no heap event: a packet that is not its
+          object's last is not the last at the next hop either. So events
+          are pushed in the per-packet loop's order, and their ticks order
+          them as its sequence numbers did.
+        - An event draining the caches above its node before it pushes
+          anything makes a packet forwarded there get an earlier tick than
+          an event pushed after it exactly when the per-packet loop handled
+          it first; these are the only pairs that are ever compared.
+
+        So each cache sees its packets, interests and decisions in the
+        per-packet loop's order, and every link gets the same
+        transmit_packet calls in the same order.
+        """
         cfg = self.config
         ppo = cfg.packets_per_object
         warmup = cfg.stats_warmup_s
@@ -338,6 +388,7 @@ class Simulation:
         pits = self.pit
         rngs = self.rng
         repo = self.repo
+        upstream = self.upstream
         n_nodes = len(self.kinds)
 
         rank_req = [dict() for _ in range(n_nodes)]
@@ -358,20 +409,40 @@ class Simulation:
         heap = [(next_interarrival(self.sources[u], rngs[u]), next(tick),
                  _REQUEST, u) for u in self.users]
         heap.sort()
+        trains = ppo > 1
+        queue = [deque() for _ in range(n_nodes)]
 
         def send_object(face, rank, issues, t):
             """Reserve one whole object on the link down to face at time t.
             A user face gets one _COMPLETE at the last packet's arrival; a
-            cache face (issues is None) gets one _DATA per packet."""
+            cache face (issues is None) gets the earlier packets queued and
+            one _DATA for the last."""
             link = uplink[face]
             if issues is None:
-                for _ in range(ppo):
-                    heappush(heap, (link.transmit_packet(t), next(tick), _DATA,
-                                    face, rank))
+                q = queue[face]
+                for _ in range(ppo - 1):
+                    q.append((link.transmit_packet(t), next(tick), rank))
+                heappush(heap, (link.transmit_packet(t), next(tick), _DATA,
+                                face, rank))
                 return
             for _ in range(ppo):
                 arr = link.transmit_packet(t)
             heappush(heap, (arr, next(tick), _COMPLETE, face, rank, issues))
+
+        def drain(chain, key):
+            """Apply the queued packets that precede key, cache by cache
+            along chain (root side first)."""
+            for node in chain:
+                q = queue[node]
+                while q and q[0] < key:
+                    a, _, rank = q.popleft()
+                    e = pits[node][rank]
+                    e.received += 1
+                    e.arrival_sum += a
+                    for f, issues in e.faces.items():
+                        arr = uplink[f].transmit_packet(a)
+                        if issues is None:
+                            queue[f].append((arr, next(tick), rank))
 
         now = 0.0
 
@@ -384,35 +455,34 @@ class Simulation:
                 break
             now = t
             kind = ev[2]
+            if trains and kind != _COMPLETE:
+                drain(upstream[ev[3]], ev)
 
             if kind == _DATA:
+                # the last packet of the object reached cache ev[3]
                 node = ev[3]
                 rank = ev[4]
-                e = pits[node][rank]
-                e.received += 1
+                e = pits[node].pop(rank)
                 e.arrival_sum += t
-                finished = e.received == ppo
                 for f, issues in e.faces.items():
                     arr = uplink[f].transmit_packet(t)
                     if issues is None:
                         heappush(heap, (arr, next(tick), _DATA, f, rank))
-                    elif finished:
+                    else:
                         heappush(heap, (arr, next(tick), _COMPLETE, f, rank,
                                         issues))
-                if finished:
-                    est = estimators[node]
-                    delta = est.measure_delta_t(rank, e.arrival_sum / ppo)
-                    if capacity[node] > 0:
-                        dec, prob = decide_insertion(policies[node], delta, est,
-                                                     rngs[node])
-                        dec_count[node] += 1
-                        dec_prob_sum[node] += prob
-                        if dec:
-                            stores[node].insert(rank, prob)
-                            est.update(delta)
-                    for f, issues in e.late.items():
-                        send_object(f, rank, issues, t)
-                    del pits[node][rank]
+                est = estimators[node]
+                delta = est.measure_delta_t(rank, e.arrival_sum / ppo)
+                if capacity[node] > 0:
+                    dec, prob = decide_insertion(policies[node], delta, est,
+                                                 rngs[node])
+                    dec_count[node] += 1
+                    dec_prob_sum[node] += prob
+                    if dec:
+                        stores[node].insert(rank, prob)
+                        est.update(delta)
+                for f, issues in e.late.items():
+                    send_object(f, rank, issues, t)
                 continue
 
             if kind == _INTEREST:
@@ -484,6 +554,12 @@ class Simulation:
                 d_ranks.append(rank)
                 d_issued.append(issue)
                 d_completed.append(t)
+
+        if trains:
+            # packets that arrived by the time cap; without a cap the last
+            # packet of every object has drained its queue already
+            for node in self.caches:
+                drain(upstream[node], (now, math.inf))
 
         report = MetricsReport(
             policy_label=self.config.policy.label(),

@@ -65,6 +65,29 @@ def test_aggregate_miss_frozen(catalog):
         assert agg == pytest.approx(expect, rel=1e-6)
 
 
+# (x, mean_p, tau, residual, iterations) of solve_tau on the catalog above,
+# recorded before the bisection evaluated its occupancy in preallocated
+# arrays: the same floating-point operations must give the same bits
+SOLVE_TAU_PINS = [
+    (2, 1.0, 2.6854192349128425, 1.134372595856803e-10, 31),
+    (2, 0.1, 13.92812847206369, 3.370193013552125e-12, 33),
+    (2, 0.003, 48.92879833979532, 1.2582157538076899e-11, 35),
+    (8, 1.0, 21.249905406031758, 9.312906001923693e-11, 34),
+    (8, 0.1, 112.01001100847498, 1.0546230555519287e-11, 36),
+    (8, 0.003, 403.93962834449485, 5.4427573559223674e-12, 38),
+    (50, 1.0, 442.62616934487596, 2.688693712116219e-11, 38),
+    (50, 0.1, 2325.328183754813, 3.353761712787673e-12, 41),
+    (50, 0.003, 8357.532385662664, 1.6555645743210334e-12, 43),
+]
+
+
+def test_solve_tau_reproduces_pinned_bits(catalog):
+    for x, mean_p, tau, residual, iterations in SOLVE_TAU_PINS:
+        sol = solve_tau(x, 1.0, catalog, mean_p=mean_p)
+        assert (sol.tau, sol.residual, sol.iterations) == \
+            (tau, residual, iterations)
+
+
 def test_solve_tau_accepts_raw_vectors(catalog):
     a = solve_tau(8.0, 1.0, catalog).tau
     b = solve_tau(8.0, 1.0, catalog.weights.tolist()).tau
@@ -285,6 +308,11 @@ def test_clamp_counter():
     assert clamp_events() == 1
     phi(np.array([-1.0, -2.0, 1.0]), 2.0)
     assert clamp_events() == 3
+    # a negative rate drives miss_asym above one, for scalars and arrays
+    assert miss_asym(-1.0, 2.0, 0.5) == 1.0
+    assert clamp_events() == 4
+    assert miss_asym(np.array([-1.0, 1.0, -2.0]), 2.0, 0.5).tolist()[::2] == [1.0, 1.0]
+    assert clamp_events() == 6
     reset_clamp_events()
     assert clamp_events() == 0
 

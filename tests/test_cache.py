@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lacsim.cache import (ALWAYS, ASYMMETRIC, FIXED_PROB, LATENCY_AWARE,
-                          SYMMETRIC, EstimatorStateError, InsertionPolicy,
+                          SYMMETRIC, InsertionPolicy,
                           LatencyEstimator, LruCache, ProtocolError,
                           decide_insertion, parse_policy, split_policy_list)
 from lacsim.workload import make_stream
@@ -261,12 +261,26 @@ def test_latency_aware_exponent_asymmetry():
     assert prob == pytest.approx(2.0 ** 2 / 4.0 ** 3)
 
 
-def test_latency_aware_rejects_degenerate_mean():
+def test_latency_aware_zero_mean_decides_with_certainty():
+    # every latency admitted so far was 0, so mean_f**gamma is 0: the
+    # decision is certain, as during the bootstrap
     policy = InsertionPolicy(kind=LATENCY_AWARE, beta=5.0, gamma=5.0)
     est = LatencyEstimator()
-    est.update(0.0)  # count=1, mean_f=0: cannot normalize
-    with pytest.raises(EstimatorStateError):
-        decide_insertion(policy, 1.0, est, FixedRng([0.5]))
+    est.update(0.0)  # count=1, mean_f=0
+    assert decide_insertion(policy, 1.0, est, FixedRng([0.999999])) == (True, 1.0)
+    assert decide_insertion(policy, 0.0, est, FixedRng([0.999999])) == (True, 1.0)
+    # a positive mean whose power underflows to 0 is treated the same way
+    est = LatencyEstimator()
+    est.update(1e-70)
+    assert decide_insertion(policy, 1e-70, est, FixedRng([0.999999])) == (True, 1.0)
+
+
+def test_measured_delta_never_negative():
+    # the mean arrival time of a train can round to just below the forward
+    # time when every latency on the path vanishes
+    est = LatencyEstimator()
+    est.record_forward(3, 1.0)
+    assert est.measure_delta_t(3, 1.0 - 2.0 ** -52) == 0.0
 
 
 def test_fixed_prob_one_matches_always_trajectory():

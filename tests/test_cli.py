@@ -194,6 +194,28 @@ def test_compare_needs_enough_data(capsys):
     assert "increase --horizon" in err
 
 
+def test_compare_gates_the_cache_it_models(tmp_path, capsys):
+    # the leaf has the lower id but the label that sorts last: compare must
+    # check the leaf's curve against the leaf model, not the core's
+    chain = dict(MINI_SCENARIO, catalog_size=20_000, requests_per_user=60_000)
+    chain["nodes"] = [
+        {"id": 1, "kind": "user"},
+        {"id": 2, "kind": "cache", "cache_capacity_objects": 8, "label": "edge"},
+        {"id": 3, "kind": "cache", "cache_capacity_objects": 8, "label": "core"},
+        {"id": 4, "kind": "repository"},
+    ]
+    chain["links"] = [
+        {"down": 1, "up": 2, "capacity_bps": 200_000},
+        {"down": 2, "up": 3, "capacity_bps": 200_000},
+        {"down": 3, "up": 4, "capacity_bps": 30_000},
+    ]
+    path = tmp_path / "chain.yaml"
+    path.write_text(yaml.safe_dump(chain))
+    assert main(["compare", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("cache=edge ")
+
+
 def test_sweep_writes_batch_csv(tmp_path, capsys):
     outdir = tmp_path / "sweeps"
     code = main(["sweep", "--preset", "single",

@@ -239,6 +239,30 @@ def test_lac_never_loads_repo_more_than_lru():
     assert lac.links[-1].bytes <= lru.links[-1].bytes
 
 
+# A repository link of 1e21 bps with no propagation delay: the latency the
+# cache measures is 0 (seed 1) or, as the mean of three packet arrivals,
+# rounds to just below 0 (seed 30). LAC must still decide every insertion.
+VANISHING = {
+    "seed": 1, "catalog_size": 10, "zipf_alpha": 1.2,
+    "request_rate_per_user": 2.0, "object_size_bytes": 3000,
+    "packet_size_bytes": 1000, "requests_per_user": 50, "policy": "lac",
+    "nodes": [{"id": 1, "kind": "user"},
+              {"id": 2, "kind": "cache", "cache_capacity_objects": 2},
+              {"id": 3, "kind": "repository"}],
+    "links": [{"down": 1, "up": 2, "capacity_bps": 1e6},
+              {"down": 2, "up": 3, "capacity_bps": 1e21}],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 30])
+def test_lac_runs_when_latencies_vanish(seed):
+    sim = Simulation(scenario_from_dict(dict(VANISHING, seed=seed)))
+    report = sim.run()
+    assert report.deliveries == 50
+    assert 0.0 < report.mean_decision_prob("cache2") <= 1.0
+    assert sim.estimator[sim.caches[0]].mean_f >= 0.0
+
+
 # ------------------------------------------------------------- accounting
 
 def test_warmup_window_splits_counters():

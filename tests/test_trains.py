@@ -1,0 +1,195 @@
+"""One heap event per object per hop: Simulation.run against the per-packet
+loop it replaced (tests/per_packet_oracle.py), on every field of the report,
+and invariants of generated tree topologies."""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from lacsim import netsim
+from lacsim.metrics import link_load
+from lacsim.netsim import Simulation, preset, scenario_from_dict
+from per_packet_oracle import PerPacketSimulation
+from test_netsim import MIXED_FACES, bundle_sha
+
+POLICIES = ("lru", "lcp:0.1", "sym:0.1", "sym-la", "lac", "lac:2,3")
+HORIZONS = {"single": 3000, "line": 2000, "tree": 150}
+
+
+def report_state(report) -> dict:
+    """Every field of a report as plain values: delivery lists, counters,
+    decision sums, elapsed, and each link's bytes and busy seconds."""
+    state = dict(vars(report))
+    stats = state.pop("delivery_stats")
+    state["delivery_stats"] = (stats.count, stats.mean, stats._m2)
+    state["links"] = [vars(ls) for ls in report.links]
+    return state
+
+
+def assert_matches_oracle(config):
+    """Run both loops on config; return the report of Simulation.run."""
+    report = Simulation(config).run()
+    assert report_state(report) == report_state(PerPacketSimulation(config).run())
+    return report
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", sorted(HORIZONS))
+def test_presets_match_per_packet_loop(name, policy, seed):
+    # seed 7 also splits the counters at a warm-up a quarter into the run
+    horizon = HORIZONS[name]
+    warmup = horizon / 4.0 if seed == 7 else 0.0
+    assert_matches_oracle(preset(name, policy=policy, seed=seed,
+                                 requests_per_user=horizon,
+                                 stats_warmup_s=warmup))
+
+
+def test_mixed_faces_match_per_packet_loop():
+    report = assert_matches_oracle(scenario_from_dict(MIXED_FACES))
+    assert report.deliveries == 4000
+
+
+@pytest.mark.parametrize("name,cap", [("single", 300.0), ("line", 200.0),
+                                      ("tree", 40.0), ("mixed", 500.0)])
+def test_capped_runs_match_per_packet_loop(name, cap):
+    # the cap falls while trains are in flight, so queued packets that
+    # arrived by the cap must be applied and later ones must not
+    if name == "mixed":
+        config = scenario_from_dict(MIXED_FACES)
+    else:
+        config = preset(name, policy="lac", seed=2,
+                        requests_per_user=HORIZONS[name])
+    if name == "single":
+        config.topology.nodes[1].cache_capacity_objects = 0
+    config.max_sim_time_s = cap
+    report = assert_matches_oracle(config)
+    assert report.elapsed == cap
+    quota = config.requests_per_user * len(report.user_request_counts)
+    assert 0 < report.deliveries <= report.user_requests < quota
+
+
+def test_tree_schedules_few_events_per_request(monkeypatch):
+    # one heap event per object per hop: 100-packet objects must not bring
+    # back a push per packet
+    config = preset("tree", policy="lac", seed=3, requests_per_user=100)
+    pushes, calls = [0], [0]
+    push, transmit = netsim.heappush, netsim.Link.transmit_packet
+
+    def counting_push(heap, item):
+        pushes[0] += 1
+        push(heap, item)
+
+    def counting_transmit(link, now):
+        calls[0] += 1
+        return transmit(link, now)
+
+    monkeypatch.setattr(netsim, "heappush", counting_push)
+    monkeypatch.setattr(netsim.Link, "transmit_packet", counting_transmit)
+    report = Simulation(config).run()
+    trains = calls[0]
+    calls[0] = 0
+    PerPacketSimulation(config).run()
+    assert trains == calls[0]
+    assert pushes[0] <= 5 * report.user_requests
+
+
+# ------------------------------------------------------------ generated trees
+
+PACKET_BYTES = 1000
+# equal capacities give equal transmission times; at 1e21 bps a 1000-byte
+# packet takes 8e-18 s, which rounds away against any time past 0.01 s
+SPEEDS = (80_000.0, 160_000.0, 1e21)
+# at 1e20 requests/s a user issues all its requests within a few ulps of
+# time 0, so after a propagation delay their interests arrive at equal times
+# and meet each other's data at equal times
+RATES = (0.5, 2.0, 8.0, 1e20)
+
+
+@st.composite
+def trees(draw):
+    n_caches = draw(st.integers(1, 6))
+    n_users = draw(st.integers(1, 4))
+    # ids in any order, so a parent may come after its children
+    ids = draw(st.permutations(range(1, n_caches + n_users + 2)))
+    repo, caches, users = ids[0], ids[1:n_caches + 1], ids[n_caches + 1:]
+    nodes = [{"id": repo, "kind": "repository"}]
+    links = []
+    link = st.fixed_dictionaries({
+        "capacity_bps": st.sampled_from(SPEEDS),
+        "prop_delay_s": st.sampled_from([0.0, 0.0, 0.002, 0.01])})
+    for i, cid in enumerate(caches):
+        up = draw(st.sampled_from([repo] + caches[:i]))
+        nodes.append({"id": cid, "kind": "cache",
+                      "cache_capacity_objects": draw(st.integers(0, 3))})
+        links.append(dict(draw(link), down=cid, up=up))
+    for uid in users:
+        nodes.append({"id": uid, "kind": "user"})
+        links.append(dict(draw(link), down=uid, up=draw(st.sampled_from(caches))))
+    ppo = draw(st.sampled_from([1, 2, 3, 5, 20]))
+    return {
+        "seed": draw(st.integers(0, 2 ** 16)),
+        "catalog_size": draw(st.integers(1, 12)),
+        "zipf_alpha": 1.2,
+        "request_rate_per_user": draw(st.sampled_from(RATES)),
+        "object_size_bytes": ppo * PACKET_BYTES,
+        "packet_size_bytes": PACKET_BYTES,
+        "requests_per_user": draw(st.integers(1, 25)),
+        "policy": draw(st.sampled_from(POLICIES)),
+        "stats_warmup_s": draw(st.sampled_from([0.0, 2.0])),
+        "max_sim_time_s": draw(st.sampled_from([None, None, 4.0, 30.0])),
+        "nodes": nodes,
+        "links": links,
+    }
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=trees())
+def test_generated_trees(raw):
+    config = scenario_from_dict(raw)
+    report = assert_matches_oracle(config)
+    sim = Simulation(config)
+    again = sim.run()
+    assert report_state(again) == report_state(report)
+
+    capped = raw["max_sim_time_s"] is not None
+    for label in report.cache_labels:
+        req, hit, fwd, join = report.node_totals[label]
+        assert req == hit + fwd + join
+    assert report.user_requests == sum(report.user_request_counts.values())
+    if capped:
+        assert report.deliveries <= report.user_requests
+    else:
+        assert report.deliveries == report.user_requests == \
+            raw["requests_per_user"] * len(report.user_request_counts)
+        top = [sim.labels[i] for i in sim.caches if sim.parent[i] == sim.repo]
+        assert report.repo_requests == sum(report.node_totals[c][2] for c in top)
+        assert all(not pending for pending in sim.pit if pending is not None)
+
+    for ls in report.links:
+        rho = link_load(ls, report.elapsed)
+        assert 0.0 < rho <= 1.0 if ls.bytes else rho == 0.0
+
+    # a delivery takes at least the whole object's transmission and the
+    # propagation delay on the user's own link. Deliveries that complete
+    # together for one rank came from one user face, and only the first of
+    # them registered before any packet went down that face: a later one
+    # joined the stream in progress and may take less
+    ppo = config.packets_per_object
+    floor = min(ppo * sim.uplink[u].tx_packet_s + sim.uplink[u].prop_s
+                for u in sim.users)
+    previous = None
+    for rank, issued, completed in zip(report.delivery_ranks,
+                                       report.delivery_issued,
+                                       report.delivery_completed):
+        if (rank, completed) != previous:
+            assert completed - issued >= floor - 1e-9
+        previous = (rank, completed)
+
+    if report.deliveries:
+        with tempfile.TemporaryDirectory() as tmp:
+            first = bundle_sha(report, Path(tmp, "a"))
+            assert bundle_sha(again, Path(tmp, "b")) == first
