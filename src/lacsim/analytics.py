@@ -37,8 +37,6 @@ from .workload import PopularityModel
 
 __all__ = [
     "CheSolution",
-    "phi",
-    "mtf_prob",
     "miss_asym",
     "miss_mixture",
     "solve_tau",
@@ -93,17 +91,6 @@ def _gamma_tail(alpha: float) -> float:
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha!r}")
     return math.gamma(1.0 - 1.0 / alpha)
-
-
-def phi(lam, tau):
-    """Probability of at least one arrival within tau for rate lam."""
-    return _clamp01(1.0 - np.exp(-np.asarray(lam, dtype=np.float64) * tau))
-
-
-def mtf_prob(pi, p, phi_val):
-    """Steady-state probability that an object is refreshed to the front
-    within its characteristic window: (1 - (1 - p) * pi) * phi_val."""
-    return _clamp01((1.0 - (1.0 - p) * np.asarray(pi, dtype=np.float64)) * phi_val)
 
 
 def miss_asym(lam, tau: float, mean_p: float):

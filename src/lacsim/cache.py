@@ -180,9 +180,6 @@ class LruCache:
         """Ranks from most recently used to least recently used."""
         return list(reversed(self._entries))
 
-    def mtf_prob(self, rank) -> float:
-        return self._entries[rank]
-
     def lookup(self, rank, policy: InsertionPolicy, rng=None) -> bool:
         """Probe for rank, applying the move-to-front discipline on a hit.
 
@@ -273,7 +270,8 @@ def decide_insertion(policy: InsertionPolicy, delta_t: float,
     probability one while the estimator is empty, and also while
     mean_f**gamma is 0 (every latency it admitted vanished, or the power
     underflows); otherwise the probability is
-    min(delta_t**beta / mean_f**gamma, 1).
+    min(delta_t**beta / mean_f**gamma, 1), evaluated in logs when either
+    power overflows.
 
     The caller is responsible for calling estimator.update(delta_t) when the
     decision is positive and the object is inserted.
@@ -283,11 +281,23 @@ def decide_insertion(policy: InsertionPolicy, delta_t: float,
     if policy.kind == FIXED_PROB:
         prob = policy.p
     else:
-        norm = estimator.mean_f ** policy.gamma
-        if estimator.count == 0 or norm == 0.0:
-            prob = 1.0
-        else:
-            prob = (delta_t ** policy.beta) / norm
-            if prob > 1.0:
+        mean_f = estimator.mean_f
+        try:
+            norm = mean_f ** policy.gamma
+            if estimator.count == 0 or norm == 0.0:
                 prob = 1.0
+            else:
+                prob = (delta_t ** policy.beta) / norm
+        except OverflowError:
+            # a power beyond the float range: take the ratio in logs. A zero
+            # base has a power of 0 or 1, so the other power decides alone
+            if delta_t == 0.0:
+                prob = 0.0
+            elif mean_f == 0.0:
+                prob = 1.0
+            else:
+                prob = math.exp(min(0.0, policy.beta * math.log(delta_t)
+                                    - policy.gamma * math.log(mean_f)))
+        if prob > 1.0:
+            prob = 1.0
     return rng.random() < prob, prob

@@ -15,6 +15,7 @@ failure in `compare`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -52,35 +53,36 @@ def _outdir(args, default_leaf: str) -> str:
 
 
 def _build_config(args) -> ScenarioConfig:
-    # flags override the YAML file or the preset only when given, so their
-    # argparse defaults are None (or "" for --policy); Simulation validates
-    config = load_scenario(args.config) if args.config else preset(args.preset)
-    if args.policy:
-        config.policy = config.resolve_policy(args.policy)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.horizon is not None:
-        config.requests_per_user = args.horizon
-    if args.warmup is not None:
-        config.stats_warmup_s = args.warmup
-    return config
+    # flags replace keys of the YAML file or the preset only when given, so
+    # their argparse defaults are None (or "" for --policy)
+    overrides = dict(policy=args.policy or None, seed=args.seed,
+                     requests_per_user=args.horizon,
+                     stats_warmup_s=args.warmup)
+    if args.config:
+        return load_scenario(args.config, **overrides)
+    return preset(args.preset, **overrides)
 
 
 def cmd_sim(args) -> int:
     config = _build_config(args)
     if args.calibrate_lcp:
-        config.policy = calibrated_lcp_policy(config)
+        config = dataclasses.replace(config,
+                                     policy=calibrated_lcp_policy(config))
         print(f"calibrated policy: {config.policy.label()}")
     report = Simulation(config).run()
     outdir = _outdir(args, f"{config.name or 'run'}-{report.policy_label}"
                            f"-s{report.seed}")
     report.export_csv(outdir)
-    print(f"policy={report.policy_label} seed={report.seed}"
-          f" requests={report.user_requests}"
-          f" deliveries={report.deliveries}"
-          f" mean_delivery={report.mean_delivery():.4f}"
-          f" stddev={report.stddev_delivery():.4f}"
-          f" miss={report.overall_miss():.4f}")
+    # a run capped before its first delivery (or request) has no means
+    line = (f"policy={report.policy_label} seed={report.seed}"
+            f" requests={report.user_requests}"
+            f" deliveries={report.deliveries}")
+    if report.deliveries:
+        line += (f" mean_delivery={report.mean_delivery():.4f}"
+                 f" stddev={report.stddev_delivery():.4f}")
+    if report.user_requests:
+        line += f" miss={report.overall_miss():.4f}"
+    print(line)
     for ls in report.links:
         print(f"  link {ls.label}: rho={link_load(ls, report.elapsed):.4f}")
     print(f"wrote {outdir}")
@@ -187,6 +189,8 @@ def _parse_seeds(text: str):
             seeds.extend(range(int(lo), int(hi) + 1))
         else:
             seeds.append(int(part))
+    if not seeds:
+        raise ValueError(f"--seeds {text!r} names no seed")
     return seeds
 
 
@@ -210,10 +214,11 @@ def _print_policy_table(rows):
 
 
 def cmd_sweep(args) -> int:
+    seeds = _parse_seeds(args.seeds)
     outdir = _outdir(args, f"sweep-{args.preset}")
     os.makedirs(outdir, exist_ok=True)
-    rows = run_matrix(args.preset, split_policy_list(args.policies),
-                      _parse_seeds(args.seeds), args.horizon, args.warmup)
+    rows = run_matrix(args.preset, split_policy_list(args.policies), seeds,
+                      args.horizon, args.warmup)
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w") as fh:
         fh.write(",".join(RunSummary.CSV_FIELDS) + "\n")

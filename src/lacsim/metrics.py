@@ -223,14 +223,19 @@ class MetricsReport:
                 fh.write(f"{ls.label},{ls.bytes},"
                          f"{link_load(ls, self.elapsed):.9f}\n")
 
-        # a run in which no cache decided on an insertion (every cache at
-        # capacity 0) has no mean decision probability: the field is empty
-        mean_p = (f"{self.mean_decision_prob():.9f}"
-                  if any(self.decision_counts.values()) else "")
+        # a mean with no samples is an empty field: no delivery (a run capped
+        # before its first), no user request, or no insertion decision (every
+        # cache at capacity 0)
+        delivered = self.delivery_stats.count > 0
+        means = (
+            f"{self.mean_delivery():.9f}" if delivered else "",
+            f"{self.stddev_delivery():.9f}" if delivered else "",
+            f"{self.overall_miss():.9f}" if self.user_requests else "",
+            f"{self.mean_decision_prob():.9f}"
+            if any(self.decision_counts.values()) else "",
+        )
         with open(os.path.join(outdir, "summary.csv"), "w", newline="") as fh:
             self._header(fh)
             fh.write("policy,mean_delivery,stddev_delivery,overall_miss,"
                      "mean_decision_prob\n")
-            fh.write(f"{csv_field(self.policy_label)},{self.mean_delivery():.9f},"
-                     f"{self.stddev_delivery():.9f},{self.overall_miss():.9f},"
-                     f"{mean_p}\n")
+            fh.write(f"{csv_field(self.policy_label)},{','.join(means)}\n")

@@ -57,7 +57,6 @@ from .cache import (
 from .metrics import LinkStats, MetricsReport, RunningStats
 from .workload import (
     DrawBuffer,
-    RequestSource,
     make_stream,
     next_interarrival,
     sample_rank,
@@ -72,8 +71,8 @@ __all__ = [
     "ScenarioConfig",
     "Link",
     "Simulation",
-    "run_scenario",
     "preset",
+    "PRESETS",
     "PRESET_NAMES",
     "load_scenario",
     "scenario_from_dict",
@@ -201,8 +200,8 @@ class ScenarioConfig:
 
     def validate(self):
         """Raise ConfigError for an out-of-range scalar field. Simulation
-        checks again, because callers such as the CLI overwrite fields after
-        construction."""
+        checks again, because library callers and tests may assign fields
+        after construction."""
         if self.requests_per_user < 1:
             raise ConfigError("requests_per_user must be >= 1")
         if self.object_size_bytes < 1 or self.packet_size_bytes < 1:
@@ -337,11 +336,8 @@ class Simulation:
             self.estimator[i] = LatencyEstimator()
             self.pit[i] = {}
             self.rng[i] = DrawBuffer(make_stream(config.seed, spec.node_id))
-        self.sources = {}
         for i in self.users:
-            spec = nodes[i]
-            self.sources[i] = RequestSource(config.request_rate)
-            self.rng[i] = DrawBuffer(make_stream(config.seed, spec.node_id))
+            self.rng[i] = DrawBuffer(make_stream(config.seed, nodes[i].node_id))
 
     def run(self) -> MetricsReport:
         """Run to completion (or to the time cap) and return the report.
@@ -378,6 +374,7 @@ class Simulation:
         warmup = cfg.stats_warmup_s
         time_cap = cfg.max_sim_time_s
         quota = cfg.requests_per_user
+        rate = cfg.request_rate
         model = self.model
         parent = self.parent
         uplink = self.uplink
@@ -406,7 +403,7 @@ class Simulation:
         add_duration = d_stats.add
 
         tick = itertools.count()
-        heap = [(next_interarrival(self.sources[u], rngs[u]), next(tick),
+        heap = [(next_interarrival(rate, rngs[u]), next(tick),
                  _REQUEST, u) for u in self.users]
         heap.sort()
         trains = ppo > 1
@@ -536,7 +533,7 @@ class Simulation:
                 u = ev[3]
                 user_issued[u] += 1
                 if user_issued[u] < quota:
-                    gap = next_interarrival(self.sources[u], rngs[u])
+                    gap = next_interarrival(rate, rngs[u])
                     heappush(heap, (t + gap, next(tick), _REQUEST, u))
                 rank = sample_rank(model, rngs[u])
                 ent = rank_req[u].get(rank)
@@ -597,119 +594,103 @@ class Simulation:
         return report
 
 
-def run_scenario(config: ScenarioConfig) -> MetricsReport:
-    """Build and run one scenario to completion."""
-    return Simulation(config).run()
+def _nodes(users: int, caches: int) -> list:
+    """user1..userN, then cache1..cacheM of 8 objects each, then the repository."""
+    nodes = [{"id": i, "kind": USER} for i in range(1, users + 1)]
+    nodes += [{"id": users + i, "kind": CACHE, "cache_capacity_objects": 8,
+               "label": f"cache{i}"} for i in range(1, caches + 1)]
+    nodes.append({"id": users + caches + 1, "kind": REPOSITORY, "label": "repo"})
+    return nodes
 
 
-PRESET_NAMES = ("single", "line", "tree")
+def _links(*edges) -> list:
+    return [{"down": down, "up": up, "capacity_bps": bps} for down, up, bps in edges]
 
 
-def preset(name: str, policy="lru", seed: int = 1,
-           requests_per_user: int = 200_000,
-           stats_warmup_s: float = 0.0) -> ScenarioConfig:
-    """Canned scenarios.
+_PRESET_WORKLOAD = {"catalog_size": 20_000, "zipf_alpha": 1.7,
+                    "request_rate_per_user": 1.0, "requests_per_user": 200_000}
 
-    single: one 8-object cache between a user population and the repository
-            (200 Kbps user link, 30 Kbps repository link, 10 KB objects).
-    line:   three 8-object caches in tandem (300/200/200/30 Kbps).
-    tree:   seven 8-object caches in a binary tree, one user population per
-            leaf, 1 MB objects split into 100 packets, 30 Mbps links with a
-            9 Mbps repository link.
+# Canned scenarios, each a complete mapping in the config-file schema (see
+# load_scenario); every one uses a 20000-object catalog with Zipf exponent
+# 1.7 at 1 object/s per user population.
+#   single: one 8-object cache between a user population and the repository
+#           (200 Kbps user link, 30 Kbps repository link, 10 KB objects).
+#   line:   three 8-object caches in tandem (300/200/200/30 Kbps).
+#   tree:   seven 8-object caches in a binary tree, one user population per
+#           leaf, 1 MB objects split into 100 packets, 30 Mbps links with a
+#           9 Mbps repository link.
+PRESETS = {
+    "single": dict(_PRESET_WORKLOAD, name="single", object_size_bytes=10_000,
+                   packet_size_bytes=10_000, nodes=_nodes(1, 1),
+                   links=_links((1, 2, 200e3), (2, 3, 30e3))),
+    "line": dict(_PRESET_WORKLOAD, name="line", object_size_bytes=10_000,
+                 packet_size_bytes=10_000, nodes=_nodes(1, 3),
+                 links=_links((1, 2, 300e3), (2, 3, 200e3), (3, 4, 200e3),
+                              (4, 5, 30e3))),
+    "tree": dict(_PRESET_WORKLOAD, name="tree", object_size_bytes=1_000_000,
+                 packet_size_bytes=10_000, nodes=_nodes(4, 7),
+                 links=_links((1, 5, 30e6), (2, 6, 30e6), (3, 7, 30e6),
+                              (4, 8, 30e6), (5, 9, 30e6), (6, 9, 30e6),
+                              (7, 10, 30e6), (8, 10, 30e6), (9, 11, 30e6),
+                              (10, 11, 30e6), (11, 12, 9e6)),
+                 policy_defaults={"lcp_p": 0.03, "lac_beta": 3.0,
+                                  "lac_gamma": 3.0}),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
+def preset(name: str, policy=None, seed: int = None,
+           requests_per_user: int = None,
+           stats_warmup_s: float = None) -> ScenarioConfig:
+    """The scenario PRESETS[name] with the given keys replaced; None keeps
+    the preset's value (or the config default).
 
     policy may be a policy string (parsed with the preset's defaults) or an
-    InsertionPolicy. Request rate is 1 object/s per user population.
+    InsertionPolicy.
     """
-    if name == "single":
-        nodes = [
-            NodeSpec(1, USER, label="user1"),
-            NodeSpec(2, CACHE, cache_capacity_objects=8, label="cache1"),
-            NodeSpec(3, REPOSITORY, label="repo"),
-        ]
-        links = [
-            LinkSpec(down=1, up=2, capacity_bps=200_000.0),
-            LinkSpec(down=2, up=3, capacity_bps=30_000.0),
-        ]
-        object_bytes, packet_bytes = 10_000, 10_000
-        lcp_p, beta, gamma = 0.1, 5.0, 5.0
-    elif name == "line":
-        nodes = [
-            NodeSpec(1, USER, label="user1"),
-            NodeSpec(2, CACHE, cache_capacity_objects=8, label="cache1"),
-            NodeSpec(3, CACHE, cache_capacity_objects=8, label="cache2"),
-            NodeSpec(4, CACHE, cache_capacity_objects=8, label="cache3"),
-            NodeSpec(5, REPOSITORY, label="repo"),
-        ]
-        links = [
-            LinkSpec(down=1, up=2, capacity_bps=300_000.0),
-            LinkSpec(down=2, up=3, capacity_bps=200_000.0),
-            LinkSpec(down=3, up=4, capacity_bps=200_000.0),
-            LinkSpec(down=4, up=5, capacity_bps=30_000.0),
-        ]
-        object_bytes, packet_bytes = 10_000, 10_000
-        lcp_p, beta, gamma = 0.1, 5.0, 5.0
-    elif name == "tree":
-        nodes = [NodeSpec(i, USER, label=f"user{i}") for i in range(1, 5)]
-        nodes += [NodeSpec(4 + i, CACHE, cache_capacity_objects=8,
-                           label=f"cache{i}") for i in range(1, 8)]
-        nodes += [NodeSpec(12, REPOSITORY, label="repo")]
-        links = [
-            LinkSpec(down=1, up=5, capacity_bps=30e6),
-            LinkSpec(down=2, up=6, capacity_bps=30e6),
-            LinkSpec(down=3, up=7, capacity_bps=30e6),
-            LinkSpec(down=4, up=8, capacity_bps=30e6),
-            LinkSpec(down=5, up=9, capacity_bps=30e6),
-            LinkSpec(down=6, up=9, capacity_bps=30e6),
-            LinkSpec(down=7, up=10, capacity_bps=30e6),
-            LinkSpec(down=8, up=10, capacity_bps=30e6),
-            LinkSpec(down=9, up=11, capacity_bps=30e6),
-            LinkSpec(down=10, up=11, capacity_bps=30e6),
-            LinkSpec(down=11, up=12, capacity_bps=9e6),
-        ]
-        object_bytes, packet_bytes = 1_000_000, 10_000
-        lcp_p, beta, gamma = 0.03, 3.0, 3.0
-    else:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-
-    config = ScenarioConfig(
-        topology=Topology(nodes=nodes, links=links),
-        catalog_size=20_000,
-        zipf_alpha=1.7,
-        request_rate=1.0,
-        object_size_bytes=object_bytes,
-        packet_size_bytes=packet_bytes,
-        requests_per_user=requests_per_user,
-        seed=seed,
-        stats_warmup_s=stats_warmup_s,
-        lcp_default_p=lcp_p,
-        lac_default_beta=beta,
-        lac_default_gamma=gamma,
-        name=name,
-    )
-    config.policy = config.resolve_policy(policy)
-    return config
+    return scenario_from_dict(PRESETS[name], policy=policy, seed=seed,
+                              requests_per_user=requests_per_user,
+                              stats_warmup_s=stats_warmup_s)
 
 
-_SCENARIO_KEYS = {
-    "seed", "catalog_size", "zipf_alpha", "request_rate_per_user",
-    "object_size_bytes", "packet_size_bytes", "requests_per_user",
-    "stats_warmup_s", "max_sim_time_s", "policy", "policy_defaults",
-    "nodes", "links", "name",
+# config-file key -> (ScenarioConfig field, type); a key that is absent or
+# null takes the field's default
+_SCALAR_KEYS = {
+    "catalog_size": ("catalog_size", int),
+    "zipf_alpha": ("zipf_alpha", float),
+    "request_rate_per_user": ("request_rate", float),
+    "object_size_bytes": ("object_size_bytes", int),
+    "packet_size_bytes": ("packet_size_bytes", int),
+    "requests_per_user": ("requests_per_user", int),
+    "seed": ("seed", int),
+    "stats_warmup_s": ("stats_warmup_s", float),
+    "max_sim_time_s": ("max_sim_time_s", float),
+    "name": ("name", str),
 }
+_POLICY_DEFAULT_KEYS = {"lcp_p": "lcp_default_p", "lac_beta": "lac_default_beta",
+                        "lac_gamma": "lac_default_gamma"}
+_SCENARIO_KEYS = {"policy", "policy_defaults", "nodes", "links", *_SCALAR_KEYS}
 _NODE_KEYS = {"id", "kind", "cache_capacity_objects", "label", "policy"}
 _LINK_KEYS = {"down", "up", "capacity_bps", "prop_delay_s"}
 
 
-def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a parsed config mapping (see load_scenario)."""
+def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
+    """Build a ScenarioConfig from a parsed config mapping (see load_scenario).
+
+    Keyword arguments replace top-level keys of raw; a None value leaves
+    the key as it is.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     unknown = set(raw) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        defaults = raw.get("policy_defaults", {}) or {}
-        if not set(defaults) <= {"lcp_p", "lac_beta", "lac_gamma"}:
+        defaults = raw.get("policy_defaults") or {}
+        if not set(defaults) <= set(_POLICY_DEFAULT_KEYS):
             raise ConfigError(f"unknown policy_defaults keys in {sorted(defaults)}")
         nodes = []
         for nd in raw.get("nodes", []):
@@ -733,26 +714,16 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 capacity_bps=float(ld["capacity_bps"]),
                 prop_delay_s=float(ld.get("prop_delay_s", 0.0)),
             ))
-        config = ScenarioConfig(
-            topology=Topology(nodes=nodes, links=links),
-            catalog_size=int(raw["catalog_size"]),
-            zipf_alpha=float(raw["zipf_alpha"]),
-            request_rate=float(raw["request_rate_per_user"]),
-            object_size_bytes=int(raw["object_size_bytes"]),
-            packet_size_bytes=int(raw["packet_size_bytes"]),
-            requests_per_user=int(raw["requests_per_user"]),
-            seed=int(raw.get("seed", 1)),
-            stats_warmup_s=float(raw.get("stats_warmup_s", 0.0)),
-            max_sim_time_s=(float(raw["max_sim_time_s"])
-                            if raw.get("max_sim_time_s") is not None else None),
-            lcp_default_p=float(defaults.get("lcp_p", 0.1)),
-            lac_default_beta=float(defaults.get("lac_beta", 5.0)),
-            lac_default_gamma=float(defaults.get("lac_gamma", 5.0)),
-            name=str(raw.get("name", "")),
-        )
+        fields = {f: kind(raw[key]) for key, (f, kind) in _SCALAR_KEYS.items()
+                  if raw.get(key) is not None}
+        fields.update((f, float(defaults[key]))
+                      for key, f in _POLICY_DEFAULT_KEYS.items() if key in defaults)
+        config = ScenarioConfig(topology=Topology(nodes=nodes, links=links),
+                                **fields)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed scenario config: {exc!r}") from exc
-    config.policy = config.resolve_policy(raw.get("policy", "lru"))
+    if raw.get("policy") is not None:
+        config.policy = config.resolve_policy(raw["policy"])
     for nd, spec in zip(raw.get("nodes", []), nodes):
         if nd.get("policy") is not None:
             spec.policy = config.resolve_policy(nd["policy"])
@@ -760,20 +731,22 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     return config
 
 
-def load_scenario(path: str) -> ScenarioConfig:
-    """Load a scenario from a YAML config file.
+def load_scenario(path: str, **overrides) -> ScenarioConfig:
+    """Load a scenario from a YAML config file; overrides replace top-level
+    keys as in scenario_from_dict.
 
-    Top-level keys: seed, catalog_size, zipf_alpha, request_rate_per_user,
-    object_size_bytes, packet_size_bytes, requests_per_user, policy,
-    policy_defaults {lcp_p, lac_beta, lac_gamma}, nodes, links, and the
-    optional stats_warmup_s / max_sim_time_s / name. Node entries carry
-    {id, kind: user|cache|repository, cache_capacity_objects, label, policy};
-    link entries {down, up, capacity_bps, prop_delay_s} with down the
-    user-side endpoint.
+    Required top-level keys: catalog_size, zipf_alpha, request_rate_per_user,
+    object_size_bytes, packet_size_bytes, requests_per_user, nodes, links.
+    Optional ones, which default to the ScenarioConfig fields: seed, policy,
+    policy_defaults {lcp_p, lac_beta, lac_gamma}, stats_warmup_s,
+    max_sim_time_s, name. Node entries carry {id, kind:
+    user|cache|repository, cache_capacity_objects, label, policy}; link
+    entries {down, up, capacity_bps, prop_delay_s} with down the user-side
+    endpoint. PRESETS holds complete examples.
     """
     with open(path) as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path!r}: {exc}") from exc
-    return scenario_from_dict(raw)
+    return scenario_from_dict(raw, **overrides)

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "PopularityModel",
-    "RequestSource",
     "zipf_weights",
     "sample_rank",
     "next_interarrival",
@@ -75,27 +74,17 @@ def sample_rank(model: PopularityModel, rng) -> int:
     return bisect_right(model.cumulative, u) + 1
 
 
-@dataclass(frozen=True)
-class RequestSource:
-    """One user population emitting a Poisson request process."""
-
-    rate_lambda: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.rate_lambda) or self.rate_lambda <= 0.0:
-            raise ValueError(f"rate_lambda must be positive, got {self.rate_lambda!r}")
-
-
-def next_interarrival(src: RequestSource, rng) -> float:
+def next_interarrival(rate: float, rng) -> float:
     """Exponential gap with mean 1/rate via inverse transform, -ln(u)/rate.
 
     Strictly positive: a zero uniform draw is rejected and redrawn, and
-    u -> 1 gives a gap -> 0 without ever reaching it.
+    u -> 1 gives a gap -> 0 without ever reaching it. The rate is taken as
+    given; ScenarioConfig.validate checks that it is positive and finite.
     """
     u = rng.random()
     while u <= 0.0:
         u = rng.random()
-    return -log(u) / src.rate_lambda
+    return -log(u) / rate
 
 
 def make_stream(scenario_seed: int, stream_id: int) -> np.random.Generator:

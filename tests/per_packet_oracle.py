@@ -45,6 +45,7 @@ class PerPacketSimulation(Simulation):
         warmup = cfg.stats_warmup_s
         time_cap = cfg.max_sim_time_s
         quota = cfg.requests_per_user
+        rate = cfg.request_rate
         model = self.model
         parent = self.parent
         uplink = self.uplink
@@ -72,7 +73,7 @@ class PerPacketSimulation(Simulation):
         add_duration = d_stats.add
 
         tick = itertools.count()
-        heap = [(next_interarrival(self.sources[u], rngs[u]), next(tick),
+        heap = [(next_interarrival(rate, rngs[u]), next(tick),
                  _REQUEST, u) for u in self.users]
         heap.sort()
 
@@ -183,7 +184,7 @@ class PerPacketSimulation(Simulation):
                 u = ev[3]
                 user_issued[u] += 1
                 if user_issued[u] < quota:
-                    gap = next_interarrival(self.sources[u], rngs[u])
+                    gap = next_interarrival(rate, rngs[u])
                     heappush(heap, (t + gap, next(tick), _REQUEST, u))
                 rank = sample_rank(model, rngs[u])
                 ent = rank_req[u].get(rank)

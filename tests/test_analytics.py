@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from lacsim.analytics import (CheSolution, clamp_events, eta_asym, eta_sym,
                               fig1_grid, miss_asym, miss_mixture, miss_sym,
-                              mtf_prob, phi, reset_clamp_events, rvrtt,
-                              solve_tau, tau_sym, vrtt, write_model_curves)
+                              reset_clamp_events, rvrtt, solve_tau, tau_sym,
+                              vrtt, write_model_curves)
 from lacsim.workload import zipf_weights
 
 # catalog 20000, alpha 1.7, unit rate, cache of 8 objects
@@ -292,27 +292,14 @@ def test_model_curves_csv(tmp_path, catalog):
     assert float(first[1]) == 1.0
 
 
-def test_phi_and_mtf_prob():
-    assert float(phi(1.0, 0.0)) == 0.0
-    assert float(phi(2.0, 3.0)) == pytest.approx(1.0 - math.exp(-6.0))
-    # always-admit, phi=0.8: refresh prob is just phi
-    assert float(mtf_prob(0.3, 1.0, 0.8)) == pytest.approx(0.8)
-    # never-admit: (1 - pi) * phi
-    assert float(mtf_prob(0.3, 0.0, 0.8)) == pytest.approx(0.7 * 0.8)
-
-
 def test_clamp_counter():
     reset_clamp_events()
     assert clamp_events() == 0
-    phi(-1.0, 2.0)  # negative rate drives the expression below zero
-    assert clamp_events() == 1
-    phi(np.array([-1.0, -2.0, 1.0]), 2.0)
-    assert clamp_events() == 3
     # a negative rate drives miss_asym above one, for scalars and arrays
     assert miss_asym(-1.0, 2.0, 0.5) == 1.0
-    assert clamp_events() == 4
+    assert clamp_events() == 1
     assert miss_asym(np.array([-1.0, 1.0, -2.0]), 2.0, 0.5).tolist()[::2] == [1.0, 1.0]
-    assert clamp_events() == 6
+    assert clamp_events() == 3
     reset_clamp_events()
     assert clamp_events() == 0
 

@@ -145,11 +145,18 @@ def test_symmetric_failed_coin_leaves_position():
 
 
 def test_mtf_prob_is_stored_per_entry():
+    # a symmetric hit redraws against the probability its entry was admitted
+    # with: draw 0.5 refreshes the entry admitted at 1.0, not the one at 0.25
     cache = LruCache(2)
+    policy = InsertionPolicy(kind=FIXED_PROB, p=0.5, mtf_mode=SYMMETRIC)
     cache.insert(1, mtf_prob=0.25)
     cache.insert(2)
-    assert cache.mtf_prob(1) == 0.25
-    assert cache.mtf_prob(2) == 1.0
+    assert cache.lookup(1, policy, FixedRng([0.5])) is True
+    assert cache.order() == [2, 1]
+    cache.insert(3, mtf_prob=1.0)
+    assert cache.order() == [3, 2]
+    assert cache.lookup(2, policy, FixedRng([0.5])) is True
+    assert cache.order() == [2, 3]
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(1, 12)), max_size=80),
@@ -273,6 +280,30 @@ def test_latency_aware_zero_mean_decides_with_certainty():
     est = LatencyEstimator()
     est.update(1e-70)
     assert decide_insertion(policy, 1e-70, est, FixedRng([0.999999])) == (True, 1.0)
+
+
+def test_latency_aware_overflowing_powers_stay_in_unit_interval():
+    # delta_t**beta beyond the float range: the ratio saturates at 1
+    est = LatencyEstimator()
+    est.update(1.0)
+    policy = InsertionPolicy(kind=LATENCY_AWARE, beta=400.0, gamma=1.0)
+    assert decide_insertion(policy, 10.0, est, FixedRng([0.999999])) == (True, 1.0)
+    est = LatencyEstimator()
+    est.update(0.0)  # mean_f**0 is 1
+    policy = InsertionPolicy(kind=LATENCY_AWARE, beta=400.0, gamma=0.0)
+    assert decide_insertion(policy, 10.0, est, FixedRng([0.999999])) == (True, 1.0)
+    # mean_f**gamma beyond the float range: the ratio is taken in logs
+    est = LatencyEstimator()
+    est.update(10.0)
+    policy = InsertionPolicy(kind=LATENCY_AWARE, beta=1.0, gamma=400.0)
+    decision, prob = decide_insertion(policy, 5.0, est, FixedRng([0.0]))
+    assert decision is False and prob == 0.0
+    decision, prob = decide_insertion(policy, 0.0, est, FixedRng([0.0]))
+    assert decision is False and prob == 0.0
+    policy = InsertionPolicy(kind=LATENCY_AWARE, beta=330.0, gamma=320.0)
+    decision, prob = decide_insertion(policy, 9.0, est, FixedRng([0.0]))
+    assert prob == pytest.approx(math.exp(330 * math.log(9.0) - 320 * math.log(10.0)))
+    assert decision is True
 
 
 def test_measured_delta_never_negative():

@@ -132,6 +132,30 @@ def test_sim_without_insertion_decisions_writes_bundle(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cap,means", [
+    (0.5, "lru,,,,"),                 # seed 1 issues its first request later
+    (5.0, "lru,,,1.000000000,"),      # one request, still on its way back
+])
+def test_sim_capped_before_first_delivery_writes_bundle(cap, means, tmp_path,
+                                                        capsys):
+    # a mean with no samples is an empty summary field
+    path = tmp_path / "capped.yaml"
+    path.write_text(yaml.safe_dump(dict(MINI_SCENARIO, max_sim_time_s=cap)))
+    outdir = tmp_path / "out"
+    assert main(["sim", "--config", str(path), "--outdir", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(CSV_BUNDLE)
+    assert (outdir / "summary.csv").read_text().splitlines()[2] == means
+    assert len((outdir / "delivery.csv").read_text().splitlines()) == 2
+    assert "deliveries=0" in capsys.readouterr().out
+
+
+def test_lac_with_overflowing_exponent_runs(tmp_path, capsys):
+    # delta_t**400 exceeds the float range once a latency passes ~5.9 s
+    assert main(["sim", "--preset", "single", "--policy", "lac:400,1",
+                 "--horizon", "3000", "--outdir", str(tmp_path / "big")]) == 0
+    assert "policy=lac:400,1" in capsys.readouterr().out
+
+
 def test_outdir_defaults_to_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LACSIM_OUTDIR", str(tmp_path / "envout"))
     code = main(["sim", "--preset", "single", "--horizon", "120"])
@@ -230,6 +254,14 @@ def test_sweep_writes_batch_csv(tmp_path, capsys):
     assert rows[4].startswith("single,lcp:0.1,2,400,")
     # the two-parameter label is one quoted CSV field, not two columns
     assert rows[5].startswith('single,"lac:5,5",1,400,')
+
+
+def test_sweep_rejects_empty_seed_list(tmp_path, capsys):
+    outdir = tmp_path / "sweeps"
+    assert main(["sweep", "--preset", "single", "--seeds", "3-1",
+                 "--horizon", "10", "--outdir", str(outdir)]) == 1
+    assert "names no seed" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_sweep_prints_per_policy_means(tmp_path, capsys):

@@ -12,7 +12,7 @@ from lacsim.analytics import miss_asym, solve_tau
 from lacsim.metrics import link_load
 from lacsim.netsim import (CACHE, REPOSITORY, USER, ConfigError, Link,
                            LinkSpec, NodeSpec, ScenarioConfig, Simulation,
-                           Topology, load_scenario, preset, run_scenario,
+                           PRESETS, Topology, load_scenario, preset,
                            scenario_from_dict)
 from lacsim.workload import zipf_weights
 
@@ -40,7 +40,7 @@ def tiny_config(catalog=1, cap=1, horizon=10, policy="lru", seed=1, rate=1.0,
 # ---------------------------------------------------------------- basics
 
 def test_one_object_catalog_fetches_once():
-    report = run_scenario(tiny_config(catalog=1, cap=1, horizon=10))
+    report = Simulation(tiny_config(catalog=1, cap=1, horizon=10)).run()
     req, hit, fwd, join = report.node_totals["c1"]
     assert req == 10
     assert fwd == 1
@@ -53,7 +53,7 @@ def test_one_object_catalog_fetches_once():
 
 
 def test_zero_capacity_cache_forwards_everything():
-    report = run_scenario(tiny_config(catalog=5, cap=0, horizon=40))
+    report = Simulation(tiny_config(catalog=5, cap=0, horizon=40)).run()
     req, hit, fwd, join = report.node_totals["c1"]
     assert req == 40
     assert hit == 0
@@ -65,7 +65,7 @@ def test_zero_capacity_cache_forwards_everything():
 def test_full_catalog_capacity_zero_steady_repo_traffic():
     # capacity above the catalog with unconditional insertion: the
     # repository is consulted once per distinct object, never again
-    report = run_scenario(tiny_config(catalog=50, cap=60, horizon=600))
+    report = Simulation(tiny_config(catalog=50, cap=60, horizon=600)).run()
     distinct = len(report.rank_counters["user1"])
     assert report.repo_requests == distinct
     assert report.node_totals["c1"][FWD] == distinct
@@ -73,7 +73,7 @@ def test_full_catalog_capacity_zero_steady_repo_traffic():
 
 def test_delivery_time_floor():
     # every delivery pays at least the two transmissions of its last packet
-    report = run_scenario(tiny_config(catalog=20, cap=4, horizon=50))
+    report = Simulation(tiny_config(catalog=20, cap=4, horizon=50)).run()
     floor = 10_000 * 8 / 200_000.0  # downstream hop alone
     assert report.deliveries == 50
     for issued, completed in zip(report.delivery_issued,
@@ -107,8 +107,8 @@ def test_link_propagation_delay_not_occupancy():
 @pytest.mark.parametrize("name,horizon", [("single", 4000), ("line", 3000),
                                           ("tree", 800)])
 def test_flow_conservation(name, horizon):
-    report = run_scenario(preset(name, policy="lac", seed=3,
-                                 requests_per_user=horizon))
+    report = Simulation(preset(name, policy="lac", seed=3,
+                               requests_per_user=horizon)).run()
     for label in report.cache_labels:
         req, hit, fwd, join = report.node_totals[label]
         assert req == hit + fwd + join
@@ -132,7 +132,7 @@ def test_flow_conservation(name, horizon):
 
 def test_single_lru_matches_steady_state_model():
     config = preset("single", policy="lru", seed=1, requests_per_user=60_000)
-    report = run_scenario(config)
+    report = Simulation(config).run()
     model = zipf_weights(config.catalog_size, config.zipf_alpha)
     tau = solve_tau(8.0, config.request_rate, model).tau
     curve = report.miss_curve("cache1", max_rank=10)
@@ -144,10 +144,10 @@ def test_single_lru_matches_steady_state_model():
 # -------------------------------------------------------------- randomness
 
 def test_runs_reproduce_byte_identical_csv(tmp_path):
-    a = run_scenario(preset("single", policy="lac", seed=5,
-                            requests_per_user=400))
-    b = run_scenario(preset("single", policy="lac", seed=5,
-                            requests_per_user=400))
+    a = Simulation(preset("single", policy="lac", seed=5,
+                          requests_per_user=400)).run()
+    b = Simulation(preset("single", policy="lac", seed=5,
+                          requests_per_user=400)).run()
     da, db = tmp_path / "a", tmp_path / "b"
     a.export_csv(str(da))
     b.export_csv(str(db))
@@ -200,30 +200,30 @@ def bundle_sha(report, outdir) -> str:
 
 @pytest.mark.parametrize("name,policy,horizon,sha", GOLDEN_BUNDLES)
 def test_bundle_matches_golden_sha(name, policy, horizon, sha, tmp_path):
-    report = run_scenario(preset(name, policy=policy, seed=1,
-                                 requests_per_user=horizon))
+    report = Simulation(preset(name, policy=policy, seed=1,
+                               requests_per_user=horizon)).run()
     assert bundle_sha(report, tmp_path) == sha
 
 
 def test_mixed_face_bundle_matches_golden_sha(tmp_path):
-    report = run_scenario(scenario_from_dict(MIXED_FACES))
+    report = Simulation(scenario_from_dict(MIXED_FACES)).run()
     assert report.deliveries == 4000
     assert bundle_sha(report, tmp_path) == GOLDEN_MIXED_FACES
 
 
 def test_seed_changes_the_run():
-    a = run_scenario(preset("single", seed=1, requests_per_user=400))
-    b = run_scenario(preset("single", seed=2, requests_per_user=400))
+    a = Simulation(preset("single", seed=1, requests_per_user=400)).run()
+    b = Simulation(preset("single", seed=2, requests_per_user=400)).run()
     assert a.delivery_completed != b.delivery_completed
 
 
 def test_policy_does_not_disturb_request_stream():
     # insertion decisions draw from cache streams, never from user streams,
     # so the issued workload is identical across policies under one seed
-    a = run_scenario(preset("single", policy="lru", seed=9,
-                            requests_per_user=500))
-    b = run_scenario(preset("single", policy="lac", seed=9,
-                            requests_per_user=500))
+    a = Simulation(preset("single", policy="lru", seed=9,
+                          requests_per_user=500)).run()
+    b = Simulation(preset("single", policy="lac", seed=9,
+                          requests_per_user=500)).run()
     assert a.rank_counters["user1"] == b.rank_counters["user1"]
     # delivery order differs with the policy; the issued workload cannot
     assert sorted(a.delivery_issued) == sorted(b.delivery_issued)
@@ -231,10 +231,10 @@ def test_policy_does_not_disturb_request_stream():
 
 
 def test_lac_never_loads_repo_more_than_lru():
-    lru = run_scenario(preset("single", policy="lru", seed=1,
-                              requests_per_user=30_000))
-    lac = run_scenario(preset("single", policy="lac:5,5", seed=1,
-                              requests_per_user=30_000))
+    lru = Simulation(preset("single", policy="lru", seed=1,
+                            requests_per_user=30_000)).run()
+    lac = Simulation(preset("single", policy="lac:5,5", seed=1,
+                            requests_per_user=30_000)).run()
     assert lac.links[-1].label == lru.links[-1].label == "repo->cache1"
     assert lac.links[-1].bytes <= lru.links[-1].bytes
 
@@ -268,7 +268,7 @@ def test_lac_runs_when_latencies_vanish(seed):
 def test_warmup_window_splits_counters():
     config = preset("single", policy="lru", seed=4, requests_per_user=2000,
                     stats_warmup_s=900.0)
-    report = run_scenario(config)
+    report = Simulation(config).run()
     full = report.rank_counters["cache1"][1][0]
     late = report.rank_counters_late["cache1"][1][0]
     assert 0 < late < full
@@ -288,7 +288,7 @@ def test_pending_interest_aggregation():
         topology=topo, catalog_size=1, zipf_alpha=1.7, request_rate=5.0,
         object_size_bytes=10_000, packet_size_bytes=10_000,
         requests_per_user=200, seed=2)
-    report = run_scenario(config)
+    report = Simulation(config).run()
     assert report.node_totals["c"][JOIN] > 0
     assert report.deliveries == 400
     assert report.user_requests == 400
@@ -297,7 +297,7 @@ def test_pending_interest_aggregation():
 def test_time_cap_stops_early():
     config = tiny_config(catalog=10, cap=2, horizon=5000,
                          max_sim_time_s=50.0)
-    report = run_scenario(config)
+    report = Simulation(config).run()
     assert report.deliveries < 5000
     assert report.elapsed <= 51.0
 
@@ -308,7 +308,7 @@ def test_time_cap_clips_elapsed_and_busy_time():
     config = preset("single", policy="lru", seed=1, requests_per_user=2000)
     config.topology.nodes[1].cache_capacity_objects = 0
     config.max_sim_time_s = 300.0
-    report = run_scenario(config)
+    report = Simulation(config).run()
     assert report.deliveries < 2000
     assert report.elapsed == 300.0
     rho = {ls.label: link_load(ls, report.elapsed) for ls in report.links}
@@ -363,8 +363,9 @@ def test_scenario_validation():
         tiny_config(horizon=0)
     with pytest.raises(ConfigError):
         tiny_config(seed=-1)
-    with pytest.raises(ConfigError):
-        tiny_config(rate=0.0)
+    for rate in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            tiny_config(rate=rate)
     bad = tiny_config()
     with pytest.raises(ValueError):
         bad.resolve_policy("bogus")
@@ -379,6 +380,24 @@ def test_scenario_validation():
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         preset("bogus")
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_is_its_config_file(name, tmp_path):
+    # a preset is the config file PRESETS[name], overrides included
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(PRESETS[name]))
+    assert load_scenario(str(path)) == preset(name)
+    assert load_scenario(str(path), policy="sym:0.2", seed=7,
+                         requests_per_user=123, stats_warmup_s=4.0) == \
+        preset(name, policy="sym:0.2", seed=7, requests_per_user=123,
+               stats_warmup_s=4.0)
+
+
+def test_tree_preset_policy_defaults():
+    assert preset("tree", policy="lcp").policy.label() == "lcp:0.03"
+    assert preset("tree", policy="lac").policy.label() == "lac:3,3"
+    assert preset("single", policy="lac").policy.label() == "lac:5,5"
 
 
 # ---------------------------------------------------------------- loader
@@ -412,7 +431,7 @@ def test_yaml_round_trip(tmp_path):
     config = load_scenario(str(path))
     assert config.name == "mini"
     assert config.seed == 3
-    report = run_scenario(config)
+    report = Simulation(config).run()
     assert report.deliveries == 60
     assert "edge" in report.cache_labels
 
@@ -422,7 +441,7 @@ def test_per_node_policy_override():
     raw["nodes"] = [dict(n) for n in BASE_YAML["nodes"]]
     raw["nodes"][1]["policy"] = "lcp:0.5"
     config = scenario_from_dict(raw)
-    report = run_scenario(config)
+    report = Simulation(config).run()
     # FixedProb always reports its own p, so the mean pins the override
     assert report.mean_decision_prob("edge") == pytest.approx(0.5)
 

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lacsim.workload import (DrawBuffer, PopularityModel, RequestSource,
-                             make_stream, next_interarrival, sample_rank,
-                             zipf_weights)
+from lacsim.workload import (DrawBuffer, PopularityModel, make_stream,
+                             next_interarrival, sample_rank, zipf_weights)
 
 # sum(k**-1.7, k=1..20000) and the first normalized weights
 S_20000_17 = 2.05289504379949150
@@ -112,12 +111,10 @@ def test_sampled_frequencies_match_weights():
 
 
 def test_interarrival_mean_and_scaling():
-    src1 = RequestSource(rate_lambda=1.0)
-    src2 = RequestSource(rate_lambda=2.0)
     gen_a = make_stream(7, 1)
     gen_b = make_stream(7, 1)
-    gaps1 = [next_interarrival(src1, gen_a) for _ in range(200_000)]
-    gaps2 = [next_interarrival(src2, gen_b) for _ in range(200_000)]
+    gaps1 = [next_interarrival(1.0, gen_a) for _ in range(200_000)]
+    gaps2 = [next_interarrival(2.0, gen_b) for _ in range(200_000)]
     assert sum(gaps1) / len(gaps1) == pytest.approx(1.0, abs=0.01)
     # identical draws, so doubling the rate exactly halves every gap
     assert all(g2 == g1 / 2.0 for g1, g2 in zip(gaps1, gaps2))
@@ -125,15 +122,8 @@ def test_interarrival_mean_and_scaling():
 
 
 def test_interarrival_rejects_zero_draw():
-    src = RequestSource(rate_lambda=1.0)
-    gap = next_interarrival(src, FixedRng([0.0, 0.0, 0.5]))
+    gap = next_interarrival(1.0, FixedRng([0.0, 0.0, 0.5]))
     assert gap == pytest.approx(-math.log(0.5), rel=1e-15)
-
-
-def test_request_source_validation():
-    for rate in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            RequestSource(rate_lambda=rate)
 
 
 def test_streams_reproducible_and_distinct():
