@@ -198,21 +198,18 @@ class LruCache:
         return True
 
     def insert(self, rank, mtf_prob: float = 1.0):
-        """Admit rank at the front, evicting the back entry when full.
-
-        Returns the evicted rank or None. Inserting a rank already present
+        """Admit rank at the front, evicting the back entry when full; a
+        cache of capacity 0 stores nothing. Inserting a rank already present
         is a protocol violation: hits must go through lookup.
         """
         entries = self._entries
         if rank in entries:
             raise ValueError(f"rank {rank!r} already cached; refresh via lookup")
         if self.capacity == 0:
-            return rank  # nothing is stored; the object evicts itself
-        evicted = None
+            return
         if len(entries) >= self.capacity:
-            evicted, _ = entries.popitem(last=False)
+            entries.popitem(last=False)
         entries[rank] = mtf_prob
-        return evicted
 
 
 class LatencyEstimator:

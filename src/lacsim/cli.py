@@ -20,10 +20,10 @@ import os
 import sys
 
 from . import __version__
-from .analytics import (eta_asym, eta_sym, fig1_grid, miss_asym, miss_sym,
-                        solve_tau, write_model_curves)
-from .cache import (ALWAYS, FIXED_PROB, LATENCY_AWARE, SYMMETRIC,
-                    ProtocolError, split_policy_list)
+from .analytics import (eta_asym, eta_sym, fig1_grid, miss_sym, solve_tau,
+                        write_model_curves)
+from .cache import (ALWAYS, LATENCY_AWARE, SYMMETRIC, ProtocolError,
+                    split_policy_list)
 from .harness import RunSummary, calibrated_lcp_policy, run_matrix
 from .metrics import link_load
 from .netsim import (PRESET_NAMES, ConfigError, ScenarioConfig, Simulation,
@@ -129,16 +129,16 @@ def _gated_cache(config: ScenarioConfig):
     return min(caches, key=lambda n: n.node_id)
 
 
-def _model_curve(config: ScenarioConfig, x: int, mean_p: float, mtf_mode: str,
-                 ranks):
-    """Per-rank steady state miss probability at a cache of x objects."""
+def _model_curve(config: ScenarioConfig, x: int, mean_p: float, mtf_mode: str):
+    """Steady state miss probability at a cache of x objects for ranks
+    1..GATE_RANKS, or up to the catalog size when it is smaller."""
     if mtf_mode == SYMMETRIC:
+        ranks = range(1, min(GATE_RANKS, config.catalog_size) + 1)
         return [float(miss_sym(k, x, config.zipf_alpha)) for k in ranks]
     popularity = zipf_weights(config.catalog_size, config.zipf_alpha)
-    tau = solve_tau(x, config.request_rate, popularity, mean_p=mean_p).tau
-    return [float(miss_asym(config.request_rate * popularity.weights[k - 1],
-                            tau, mean_p))
-            for k in ranks]
+    rows = fig1_grid(popularity, x, config.request_rate, [mean_p],
+                     max_rank=GATE_RANKS)
+    return [pi for _, _, pi, _ in rows]
 
 
 def cmd_compare(args) -> int:
@@ -152,19 +152,16 @@ def cmd_compare(args) -> int:
         gated = False
     elif policy.kind == ALWAYS:
         mean_p, gated = 1.0, True
-    elif policy.kind == FIXED_PROB:
+    else:  # FIXED_PROB
         mean_p, gated = policy.p, True
-    else:
-        raise ProtocolError(f"no comparable model for {policy.label()}")
-    ranks = range(1, GATE_RANKS + 1)
     model = _model_curve(config, cache.cache_capacity_objects, mean_p,
-                         policy.mtf_mode, ranks)
+                         policy.mtf_mode)
     late = config.stats_warmup_s > 0
     curve = report.miss_curve(label, GATE_RANKS, late=late)
     worst = 0.0
     print(f"cache={label} policy={report.policy_label} mean_p={mean_p:.4f}")
     print("rank,sim,model,delta")
-    for k, pi in zip(ranks, model):
+    for k, pi in enumerate(model, start=1):
         if k not in curve:
             raise ValueError(f"rank {k} saw no requests at {label}; "
                              "increase --horizon to use the model gate")
@@ -172,7 +169,7 @@ def cmd_compare(args) -> int:
         delta = abs(sim - pi)
         worst = max(worst, delta)
         print(f"{k},{sim:.4f},{pi:.4f},{delta:.4f}")
-    print(f"max|delta| over ranks 1..{GATE_RANKS}: {worst:.4f}"
+    print(f"max|delta| over ranks 1..{len(model)}: {worst:.4f}"
           f" (gate {'on' if gated else 'off'}, tol {GATE_TOLERANCE})")
     if gated and worst > GATE_TOLERANCE:
         print("model gate FAILED", file=sys.stderr)

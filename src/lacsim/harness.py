@@ -78,9 +78,9 @@ def calibrated_lcp_policy(config: ScenarioConfig) -> InsertionPolicy:
     """Run the scenario under its latency-aware policy and return a FixedProb
     policy whose p is the smallest per-node mean decision probability, the
     calibration the comparison experiments prescribe."""
-    probe = dataclasses.replace(config)
+    probe = config
     if config.policy.kind != LATENCY_AWARE:
-        probe.policy = config.resolve_policy("lac")
+        probe = dataclasses.replace(config, policy=config.resolve_policy("lac"))
     report = Simulation(probe).run()
     p = report.min_mean_decision_prob()
     return InsertionPolicy(kind=FIXED_PROB, p=p, mtf_mode=ASYMMETRIC)

@@ -1,7 +1,9 @@
 """Run metrics: per-rank hit counters, delivery series, link loads, CSV export.
 
 A MetricsReport is a plain result container assembled by the simulator at
-the end of a run. All CSV emission lives here so the on-disk schema stays in
+the end of a run. It holds each measured quantity once, as the run loop
+wrote it; totals such as the number of user requests are derived from those
+records. All CSV emission lives here so the on-disk schema stays in
 one place: four files (miss_prob, delivery, links, summary), each versioned
 with a header comment naming the schema and the scenario seed, columns in a
 fixed order, floats printed with nine decimals, newline-terminated. A given
@@ -54,7 +56,6 @@ class LinkStats:
     """Byte and busy-time accounting for the data direction of one link."""
 
     label: str
-    capacity_bps: float
     bytes: int = 0
     busy_seconds: float = 0.0
 
@@ -78,28 +79,28 @@ def csv_field(text: str) -> str:
 class MetricsReport:
     """Everything measured in one simulation run.
 
-    rank_counters / rank_counters_late map node label -> rank -> [requests,
-    hits]; the late window starts at stats_warmup_s into the run and serves
-    steady-state comparisons. node_totals maps each cache label to its
-    [requests, hits, forwards, joins]; user_request_counts maps each user
-    label to the requests it issued. Deliveries are stored column-wise in
-    completion order; delivery_stats accumulates their durations in that
-    order, and the cumulative mean/stddev at any completion index is rebuilt
-    from the columns with the same accumulator.
+    rank_counters maps each cache label, in node order, to rank -> [requests,
+    hits, late_requests, late_hits]: the first two count the whole run (they
+    are miss_prob.csv), the last two count from stats_warmup_s into the run
+    on and serve steady-state comparisons (miss_curve(late=True)). A rank is
+    present once the cache has seen a request for it. forwards maps each
+    cache label to the interests it sent upstream, one per pending entry it
+    opened; the interests that joined a pending entry are requests - hits -
+    forwards. user_request_counts maps each user label to the requests it
+    issued, and user_requests is their sum. Deliveries are stored
+    column-wise in completion order; delivery_stats accumulates their
+    durations in that order, and the cumulative mean/stddev at any
+    completion index is rebuilt from the columns with the same accumulator.
     """
 
     policy_label: str
     seed: int
     elapsed: float = 0.0
-    stats_warmup_s: float = 0.0
 
-    cache_labels: list = field(default_factory=list)
     rank_counters: dict = field(default_factory=dict)
-    rank_counters_late: dict = field(default_factory=dict)
-    node_totals: dict = field(default_factory=dict)  # cache -> [req, hit, fwd, join]
+    forwards: dict = field(default_factory=dict)
     user_request_counts: dict = field(default_factory=dict)
     repo_requests: int = 0
-    user_requests: int = 0
 
     delivery_ranks: list = field(default_factory=list)
     delivery_issued: list = field(default_factory=list)
@@ -110,6 +111,14 @@ class MetricsReport:
 
     decision_counts: dict = field(default_factory=dict)  # label -> count
     decision_prob_sums: dict = field(default_factory=dict)
+
+    @property
+    def cache_labels(self) -> list:
+        return list(self.rank_counters)
+
+    @property
+    def user_requests(self) -> int:
+        return sum(self.user_request_counts.values())
 
     # -- deliveries ---------------------------------------------------------
 
@@ -142,11 +151,12 @@ class MetricsReport:
     # -- per-rank counters --------------------------------------------------
 
     def miss_curve(self, node_label: str, max_rank: int, late: bool = False) -> dict:
-        """rank -> miss ratio for ranks 1..max_rank that saw any requests."""
-        counters = self.rank_counters_late if late else self.rank_counters
-        node = counters.get(node_label, {})
+        """rank -> miss ratio for ranks 1..max_rank that saw any requests in
+        the whole run, or with late=True from stats_warmup_s on."""
+        first = 2 if late else 0
         out = {}
-        for rank, (requests, hits) in node.items():
+        for rank, counts in self.rank_counters.get(node_label, {}).items():
+            requests, hits = counts[first:first + 2]
             if rank <= max_rank and requests > 0:
                 out[rank] = (requests - hits) / requests
         return out
@@ -193,10 +203,9 @@ class MetricsReport:
         with open(os.path.join(outdir, "miss_prob.csv"), "w", newline="") as fh:
             self._header(fh)
             fh.write("node_id,rank,requests,misses,miss_ratio\n")
-            for label in self.cache_labels:
-                node = self.rank_counters.get(label, {})
+            for label, node in self.rank_counters.items():
                 for rank in sorted(node):
-                    requests, hits = node[rank]
+                    requests, hits = node[rank][:2]
                     if requests == 0:
                         raise ValueError(
                             f"empty counter for {label!r} rank {rank} at export")

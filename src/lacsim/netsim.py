@@ -134,6 +134,15 @@ class Topology:
         nodes = self.node_map()
         if len(nodes) != len(self.nodes):
             raise ConfigError("duplicate node ids")
+        # labels key the report and are written unquoted in the CSV bundle
+        labels = set()
+        for n in self.nodes:
+            if n.label in labels:
+                raise ConfigError(f"duplicate node label {n.label!r}")
+            if any(c in n.label for c in ',"\r\n'):
+                raise ConfigError(f"node label {n.label!r} holds a comma, "
+                                  f"quote or line break")
+            labels.add(n.label)
         repos = [n for n in self.nodes if n.kind == REPOSITORY]
         if len(repos) != 1:
             raise ConfigError(f"expected exactly one repository, found {len(repos)}")
@@ -236,13 +245,12 @@ class ScenarioConfig:
 class Link:
     """FIFO store-and-forward output queue for the data direction of an edge."""
 
-    __slots__ = ("label", "capacity_bps", "prop_s", "tx_packet_s",
-                 "packet_bytes", "busy_until", "busy_seconds", "bytes")
+    __slots__ = ("label", "prop_s", "tx_packet_s", "packet_bytes",
+                 "busy_until", "busy_seconds", "bytes")
 
     def __init__(self, label: str, capacity_bps: float, prop_s: float,
                  packet_bytes: int):
         self.label = label
-        self.capacity_bps = capacity_bps
         self.prop_s = prop_s
         self.packet_bytes = packet_bytes
         self.tx_packet_s = packet_bytes * 8.0 / capacity_bps
@@ -388,9 +396,9 @@ class Simulation:
         upstream = self.upstream
         n_nodes = len(self.kinds)
 
+        # per cache: rank -> [requests, hits, late_requests, late_hits]
         rank_req = [dict() for _ in range(n_nodes)]
-        rank_req_late = [dict() for _ in range(n_nodes)]
-        totals = [[0, 0, 0, 0] for _ in range(n_nodes)]  # req, hit, fwd, join
+        forwards = [0] * n_nodes
         dec_count = [0] * n_nodes
         dec_prob_sum = [0.0] * n_nodes
         user_issued = [0] * n_nodes
@@ -493,35 +501,28 @@ class Simulation:
                     repo_requests += 1
                     send_object(frm, rank, issues, t)
                     continue
-                tot = totals[node]
-                tot[0] += 1
                 ent = rank_req[node].get(rank)
                 if ent is None:
-                    ent = rank_req[node][rank] = [0, 0]
+                    ent = rank_req[node][rank] = [0, 0, 0, 0]
                 ent[0] += 1
                 late_win = t >= warmup
                 if late_win:
-                    lent = rank_req_late[node].get(rank)
-                    if lent is None:
-                        lent = rank_req_late[node][rank] = [0, 0]
-                    lent[0] += 1
+                    ent[2] += 1
                 if stores[node].lookup(rank, policies[node], rngs[node]):
-                    tot[1] += 1
                     ent[1] += 1
                     if late_win:
-                        lent[1] += 1
+                        ent[3] += 1
                     send_object(frm, rank, issues, t)
                     continue
                 e = pits[node].get(rank)
                 if e is not None:
-                    tot[3] += 1
                     faces = e.faces if e.received == 0 or frm in e.faces else e.late
                     if issues is not None and frm in faces:
                         faces[frm].append(issue)
                     else:
                         faces[frm] = issues
                     continue
-                tot[2] += 1
+                forwards[node] += 1
                 e = pits[node][rank] = _PitEntry()
                 e.faces[frm] = issues
                 estimators[node].record_forward(rank, t)
@@ -536,10 +537,6 @@ class Simulation:
                     gap = next_interarrival(rate, rngs[u])
                     heappush(heap, (t + gap, next(tick), _REQUEST, u))
                 rank = sample_rank(model, rngs[u])
-                ent = rank_req[u].get(rank)
-                if ent is None:
-                    ent = rank_req[u][rank] = [0, 0]
-                ent[0] += 1
                 heappush(heap, (t + uplink[u].prop_s, next(tick), _INTEREST,
                                 parent[u], rank, u, t))
                 continue
@@ -562,21 +559,16 @@ class Simulation:
             policy_label=self.config.policy.label(),
             seed=cfg.seed,
             elapsed=now,
-            stats_warmup_s=warmup,
         )
-        report.cache_labels = [self.labels[i] for i in self.caches]
         for i in self.caches:
             report.rank_counters[self.labels[i]] = rank_req[i]
-            report.rank_counters_late[self.labels[i]] = rank_req_late[i]
-            report.node_totals[self.labels[i]] = totals[i]
+            report.forwards[self.labels[i]] = forwards[i]
             if dec_count[i]:
                 report.decision_counts[self.labels[i]] = dec_count[i]
                 report.decision_prob_sums[self.labels[i]] = dec_prob_sum[i]
         for i in self.users:
-            report.rank_counters[self.labels[i]] = rank_req[i]
             report.user_request_counts[self.labels[i]] = user_issued[i]
         report.repo_requests = repo_requests
-        report.user_requests = sum(user_issued)
         report.delivery_ranks = d_ranks
         report.delivery_issued = d_issued
         report.delivery_completed = d_completed
@@ -588,7 +580,6 @@ class Simulation:
                 # [now, busy_until]; it is empty unless the time cap hit
                 busy = link.busy_seconds - max(0.0, link.busy_until - now)
                 report.links.append(LinkStats(label=link.label,
-                                              capacity_bps=link.capacity_bps,
                                               bytes=link.bytes,
                                               busy_seconds=busy))
         return report

@@ -2,7 +2,8 @@
 
 `PerPacketSimulation.run` is `Simulation.run` as it stood when every data
 packet was its own heap event at every hop, copied verbatim together with
-the pending-interest entry it uses. The differential tests in
+the pending-interest entry it uses; only its counters and the report
+assembly follow the report's current layout. The differential tests in
 tests/test_trains.py run both loops on the same configs and compare every
 field of the two reports.
 """
@@ -58,9 +59,9 @@ class PerPacketSimulation(Simulation):
         repo = self.repo
         n_nodes = len(self.kinds)
 
+        # per cache: rank -> [requests, hits, late_requests, late_hits]
         rank_req = [dict() for _ in range(n_nodes)]
-        rank_req_late = [dict() for _ in range(n_nodes)]
-        totals = [[0, 0, 0, 0] for _ in range(n_nodes)]  # req, hit, fwd, join
+        forwards = [0] * n_nodes
         dec_count = [0] * n_nodes
         dec_prob_sum = [0.0] * n_nodes
         user_issued = [0] * n_nodes
@@ -144,35 +145,28 @@ class PerPacketSimulation(Simulation):
                     repo_requests += 1
                     send_object(frm, rank, issues, t)
                     continue
-                tot = totals[node]
-                tot[0] += 1
                 ent = rank_req[node].get(rank)
                 if ent is None:
-                    ent = rank_req[node][rank] = [0, 0]
+                    ent = rank_req[node][rank] = [0, 0, 0, 0]
                 ent[0] += 1
                 late_win = t >= warmup
                 if late_win:
-                    lent = rank_req_late[node].get(rank)
-                    if lent is None:
-                        lent = rank_req_late[node][rank] = [0, 0]
-                    lent[0] += 1
+                    ent[2] += 1
                 if stores[node].lookup(rank, policies[node], rngs[node]):
-                    tot[1] += 1
                     ent[1] += 1
                     if late_win:
-                        lent[1] += 1
+                        ent[3] += 1
                     send_object(frm, rank, issues, t)
                     continue
                 e = pits[node].get(rank)
                 if e is not None:
-                    tot[3] += 1
                     faces = e.faces if e.received == 0 or frm in e.faces else e.late
                     if issues is not None and frm in faces:
                         faces[frm].append(issue)
                     else:
                         faces[frm] = issues
                     continue
-                tot[2] += 1
+                forwards[node] += 1
                 e = pits[node][rank] = _PitEntry()
                 e.faces[frm] = issues
                 estimators[node].record_forward(rank, t)
@@ -187,10 +181,6 @@ class PerPacketSimulation(Simulation):
                     gap = next_interarrival(rate, rngs[u])
                     heappush(heap, (t + gap, next(tick), _REQUEST, u))
                 rank = sample_rank(model, rngs[u])
-                ent = rank_req[u].get(rank)
-                if ent is None:
-                    ent = rank_req[u][rank] = [0, 0]
-                ent[0] += 1
                 heappush(heap, (t + uplink[u].prop_s, next(tick), _INTEREST,
                                 parent[u], rank, u, t))
                 continue
@@ -207,21 +197,16 @@ class PerPacketSimulation(Simulation):
             policy_label=self.config.policy.label(),
             seed=cfg.seed,
             elapsed=now,
-            stats_warmup_s=warmup,
         )
-        report.cache_labels = [self.labels[i] for i in self.caches]
         for i in self.caches:
             report.rank_counters[self.labels[i]] = rank_req[i]
-            report.rank_counters_late[self.labels[i]] = rank_req_late[i]
-            report.node_totals[self.labels[i]] = totals[i]
+            report.forwards[self.labels[i]] = forwards[i]
             if dec_count[i]:
                 report.decision_counts[self.labels[i]] = dec_count[i]
                 report.decision_prob_sums[self.labels[i]] = dec_prob_sum[i]
         for i in self.users:
-            report.rank_counters[self.labels[i]] = rank_req[i]
             report.user_request_counts[self.labels[i]] = user_issued[i]
         report.repo_requests = repo_requests
-        report.user_requests = sum(user_issued)
         report.delivery_ranks = d_ranks
         report.delivery_issued = d_issued
         report.delivery_completed = d_completed
@@ -233,7 +218,6 @@ class PerPacketSimulation(Simulation):
                 # [now, busy_until]; it is empty unless the time cap hit
                 busy = link.busy_seconds - max(0.0, link.busy_until - now)
                 report.links.append(LinkStats(label=link.label,
-                                              capacity_bps=link.capacity_bps,
                                               bytes=link.bytes,
                                               busy_seconds=busy))
         return report

@@ -88,12 +88,13 @@ def test_policy_validation():
 def test_lru_order_and_eviction():
     cache = LruCache(2)
     policy = InsertionPolicy()
-    assert cache.insert(1) is None
-    assert cache.insert(2) is None
+    cache.insert(1)
+    cache.insert(2)
     assert cache.order() == [2, 1]
     assert cache.lookup(1, policy) is True
     assert cache.order() == [1, 2]
-    assert cache.insert(3) == 2
+    cache.insert(3)
+    assert 2 not in cache
     assert cache.order() == [3, 1]
     assert len(cache) == 2
 
@@ -114,7 +115,8 @@ def test_duplicate_insert_rejected():
 
 def test_zero_capacity_cache_stores_nothing():
     cache = LruCache(0)
-    assert cache.insert(5) == 5
+    cache.insert(5)
+    assert 5 not in cache
     assert len(cache) == 0
     assert cache.lookup(5, InsertionPolicy(), PoisonRng()) is False
 

@@ -218,6 +218,18 @@ def test_compare_needs_enough_data(capsys):
     assert "increase --horizon" in err
 
 
+@pytest.mark.parametrize("policy", ["lru", "sym:0.1"])
+def test_compare_models_a_catalog_smaller_than_the_gate(policy, tmp_path,
+                                                        capsys):
+    # both model curves stop at the catalog's 12 ranks and the gate checks
+    # those: a verdict (0 or 2), not a usage error or a traceback
+    path = tmp_path / "small.yaml"
+    path.write_text(yaml.safe_dump(dict(MINI_SCENARIO, catalog_size=12,
+                                        requests_per_user=20_000)))
+    assert main(["compare", "--config", str(path), "--policy", policy]) != 1
+    assert "over ranks 1..12:" in capsys.readouterr().out
+
+
 def test_compare_gates_the_cache_it_models(tmp_path, capsys):
     # the leaf has the lower id but the label that sorts last: compare must
     # check the leaf's curve against the leaf model, not the core's

@@ -55,11 +55,11 @@ def test_running_stats_against_two_pass_large():
 
 def test_link_load_values():
     # one 10 KB object on a 300 kbps link busies it for 0.2667 s
-    ls = LinkStats(label="a->b", capacity_bps=300_000.0, bytes=10_000,
+    ls = LinkStats(label="a->b", bytes=10_000,
                    busy_seconds=10_000 * 8 / 300_000)
     assert link_load(ls, 1.0) == pytest.approx(0.26667, abs=1e-4)
-    assert link_load(LinkStats("x", 1.0), 5.0) == 0.0
-    assert link_load(LinkStats("x", 1.0, busy_seconds=5.0), 5.0) == 1.0
+    assert link_load(LinkStats("x"), 5.0) == 0.0
+    assert link_load(LinkStats("x", busy_seconds=5.0), 5.0) == 1.0
     with pytest.raises(ValueError):
         link_load(ls, 0.0)
 
@@ -67,21 +67,17 @@ def test_link_load_values():
 def _small_report():
     report = MetricsReport(
         policy_label="lcp:0.1", seed=7, elapsed=10.0,
-        cache_labels=["cacheA", "cacheB"],
         rank_counters={
-            "cacheA": {1: [4, 3], 2: [2, 0]},
-            "cacheB": {1: [2, 1]},
+            "cacheA": {1: [4, 3, 2, 2], 2: [2, 0, 1, 0]},
+            "cacheB": {1: [2, 1, 1, 0]},
         },
-        rank_counters_late={
-            "cacheA": {1: [2, 2], 2: [1, 0]},
-            "cacheB": {1: [1, 0]},
-        },
-        repo_requests=3, user_requests=6,
+        user_request_counts={"user1": 4, "user2": 2},
+        repo_requests=3,
         delivery_ranks=[1, 2, 1],
         delivery_issued=[0.0, 1.0, 2.0],
         delivery_completed=[2.0, 5.0, 5.0],
         delivery_stats=stats_of([2.0, 4.0, 3.0]),
-        links=[LinkStats("repo->cacheA", 30_000.0, 40_000, 4.0)],
+        links=[LinkStats("repo->cacheA", 40_000, 4.0)],
         decision_counts={"cacheA": 4, "cacheB": 2},
         decision_prob_sums={"cacheA": 0.8, "cacheB": 1.0},
     )
@@ -96,12 +92,15 @@ def test_miss_ratio_and_curve():
     assert report.miss_curve("cacheA", max_rank=1) == {1: 0.25}
     assert 99 not in report.miss_curve("cacheA", max_rank=99)
     assert report.miss_curve("nowhere", max_rank=1) == {}
+    # a rank seen only before the warm-up has no late miss ratio
+    report.rank_counters["cacheB"][2] = [3, 1, 0, 0]
+    assert report.miss_curve("cacheB", max_rank=2, late=True) == {1: 1.0}
 
 
 def test_zero_count_miss_ratio_rejected():
     # a rank with no requests has no miss ratio and is left out of the curve
     report = _small_report()
-    report.rank_counters["cacheA"][3] = [0, 0]
+    report.rank_counters["cacheA"][3] = [0, 0, 0, 0]
     assert report.miss_curve("cacheA", max_rank=3) == {1: 0.25, 2: 1.0}
 
 
@@ -203,6 +202,6 @@ def test_csv_export_deterministic(tmp_path):
 
 def test_csv_export_rejects_empty_counter(tmp_path):
     report = _small_report()
-    report.rank_counters["cacheA"][9] = [0, 0]
+    report.rank_counters["cacheA"][9] = [0, 0, 0, 0]
     with pytest.raises(ValueError):
         report.export_csv(str(tmp_path / "bad"))
