@@ -212,10 +212,10 @@ def _print_policy_table(rows):
 
 def cmd_sweep(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    outdir = _outdir(args, f"sweep-{args.preset}")
-    os.makedirs(outdir, exist_ok=True)
     rows = run_matrix(args.preset, split_policy_list(args.policies), seeds,
                       args.horizon, args.warmup)
+    outdir = _outdir(args, f"sweep-{args.preset}")
+    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w") as fh:
         fh.write(",".join(RunSummary.CSV_FIELDS) + "\n")

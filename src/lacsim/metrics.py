@@ -88,9 +88,12 @@ class MetricsReport:
     opened; the interests that joined a pending entry are requests - hits -
     forwards. user_request_counts maps each user label to the requests it
     issued, and user_requests is their sum. Deliveries are stored
-    column-wise in completion order; delivery_stats accumulates their
-    durations in that order, and the cumulative mean/stddev at any
-    completion index is rebuilt from the columns with the same accumulator.
+    column-wise in completion order. The delivery statistics are derived
+    from the delivery_issued and delivery_completed columns: delivery_stats
+    adds each duration completed - issued to a RunningStats in completion
+    order, once per report, on first use or in export_csv's cumulative
+    pass, whichever comes first. The cumulative mean at any completion index
+    (cum_mean_at) is rebuilt from the columns with the same accumulator.
     """
 
     policy_label: str
@@ -105,12 +108,14 @@ class MetricsReport:
     delivery_ranks: list = field(default_factory=list)
     delivery_issued: list = field(default_factory=list)
     delivery_completed: list = field(default_factory=list)
-    delivery_stats: RunningStats = field(default_factory=RunningStats)
 
     links: list = field(default_factory=list)
 
     decision_counts: dict = field(default_factory=dict)  # label -> count
     decision_prob_sums: dict = field(default_factory=dict)
+
+    _delivery_stats: RunningStats = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     @property
     def cache_labels(self) -> list:
@@ -125,6 +130,18 @@ class MetricsReport:
     @property
     def deliveries(self) -> int:
         return len(self.delivery_ranks)
+
+    @property
+    def delivery_stats(self) -> RunningStats:
+        """Mean and stddev of every delivery's duration, accumulated in
+        completion order on first use."""
+        if self._delivery_stats is None:
+            acc = RunningStats()
+            for issued, completed in zip(self.delivery_issued,
+                                         self.delivery_completed):
+                acc.add(completed - issued)
+            self._delivery_stats = acc
+        return self._delivery_stats
 
     def mean_delivery(self) -> float:
         if self.delivery_stats.count == 0:
@@ -224,6 +241,8 @@ class MetricsReport:
                 acc.add(duration)
                 fh.write(f"{seq},{rank},{duration:.9f},"
                          f"{acc.mean:.9f},{acc.stddev:.9f}\n")
+        if self._delivery_stats is None:
+            self._delivery_stats = acc
 
         with open(os.path.join(outdir, "links.csv"), "w", newline="") as fh:
             self._header(fh)

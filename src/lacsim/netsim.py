@@ -54,11 +54,14 @@ from .cache import (
     decide_insertion,
     parse_policy,
 )
-from .metrics import LinkStats, MetricsReport, RunningStats
+from .metrics import LinkStats, MetricsReport
+# sample_rank is not called here, but stays bound: perfbench's tracer
+# patches the draw functions by their names in this module
 from .workload import (
     DrawBuffer,
     make_stream,
     next_interarrival,
+    request_draws,
     sample_rank,
     zipf_weights,
 )
@@ -346,9 +349,14 @@ class Simulation:
             self.rng[i] = DrawBuffer(make_stream(config.seed, spec.node_id))
         for i in self.users:
             self.rng[i] = DrawBuffer(make_stream(config.seed, nodes[i].node_id))
+        self._ran = False
 
     def run(self) -> MetricsReport:
         """Run to completion (or to the time cap) and return the report.
+
+        A Simulation runs once: its links, caches, pending entries and
+        streams keep the state the run left, so a second call raises
+        RuntimeError.
 
         Only the last packet of an object is a heap event at each hop. The
         earlier ones wait, as (arrival, tick, rank), in a FIFO owned by the
@@ -377,6 +385,10 @@ class Simulation:
         per-packet loop's order, and every link gets the same
         transmit_packet calls in the same order.
         """
+        if self._ran:
+            raise RuntimeError("this Simulation has run already; build a new "
+                               "Simulation for another run")
+        self._ran = True
         cfg = self.config
         ppo = cfg.packets_per_object
         warmup = cfg.stats_warmup_s
@@ -407,13 +419,16 @@ class Simulation:
         d_ranks = []
         d_issued = []
         d_completed = []
-        d_stats = RunningStats()
-        add_duration = d_stats.add
 
         tick = itertools.count()
         heap = [(next_interarrival(rate, rngs[u]), next(tick),
                  _REQUEST, u) for u in self.users]
         heap.sort()
+        # per user: (gap to the next request, rank) of each request, drawn
+        # after the first gap
+        next_draw = [None] * n_nodes
+        for u in self.users:
+            next_draw[u] = request_draws(model, rate, rngs[u], quota).__next__
         trains = ppo > 1
         queue = [deque() for _ in range(n_nodes)]
 
@@ -533,10 +548,9 @@ class Simulation:
             if kind == _REQUEST:
                 u = ev[3]
                 user_issued[u] += 1
-                if user_issued[u] < quota:
-                    gap = next_interarrival(rate, rngs[u])
+                gap, rank = next_draw[u]()
+                if gap is not None:
                     heappush(heap, (t + gap, next(tick), _REQUEST, u))
-                rank = sample_rank(model, rngs[u])
                 heappush(heap, (t + uplink[u].prop_s, next(tick), _INTEREST,
                                 parent[u], rank, u, t))
                 continue
@@ -544,7 +558,6 @@ class Simulation:
             # _COMPLETE: the object's last data packet reached user ev[3]
             rank = ev[4]
             for issue in ev[5]:
-                add_duration(t - issue)
                 d_ranks.append(rank)
                 d_issued.append(issue)
                 d_completed.append(t)
@@ -572,7 +585,6 @@ class Simulation:
         report.delivery_ranks = d_ranks
         report.delivery_issued = d_issued
         report.delivery_completed = d_completed
-        report.delivery_stats = d_stats
         for link in self.uplink:
             if link is not None:
                 # every reservation was made at or before `now`, so the busy

@@ -3,7 +3,10 @@
 `PerPacketSimulation.run` is `Simulation.run` as it stood when every data
 packet was its own heap event at every hop, copied verbatim together with
 the pending-interest entry it uses; only its counters and the report
-assembly follow the report's current layout. The differential tests in
+assembly follow the report's current layout. It still accumulates delivery
+statistics inside the loop, as Simulation.run once did, and hands them to
+the report in place of the ones MetricsReport derives from the delivery
+columns. The differential tests in
 tests/test_trains.py run both loops on the same configs and compare every
 field of the two reports.
 """
@@ -210,7 +213,10 @@ class PerPacketSimulation(Simulation):
         report.delivery_ranks = d_ranks
         report.delivery_issued = d_issued
         report.delivery_completed = d_completed
-        report.delivery_stats = d_stats
+        # the loop's own accumulator stands in for the statistics that
+        # MetricsReport derives from the columns, so the differential tests
+        # compare the two
+        report._delivery_stats = d_stats
         for link in self.uplink:
             if link is not None:
                 # every reservation was made at or before `now`, so the busy

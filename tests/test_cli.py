@@ -276,6 +276,21 @@ def test_sweep_rejects_empty_seed_list(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--horizon", "0"], "requests_per_user"),
+    (["--seeds=-3"], "seed"),
+    (["--policies", "bogus"], "bogus"),
+])
+def test_sweep_config_error_leaves_no_output_dir(flags, message, tmp_path,
+                                                 capsys):
+    outdir = tmp_path / "sweeps"
+    argv = ["sweep", "--preset", "single", "--seeds", "1", "--horizon", "10",
+            "--outdir", str(outdir)]
+    assert main(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_sweep_prints_per_policy_means(tmp_path, capsys):
     outdir = tmp_path / "sweeps"
     assert main(["sweep", "--preset", "line", "--policies", "lru,lac:5,5",

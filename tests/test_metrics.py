@@ -76,7 +76,6 @@ def _small_report():
         delivery_ranks=[1, 2, 1],
         delivery_issued=[0.0, 1.0, 2.0],
         delivery_completed=[2.0, 5.0, 5.0],
-        delivery_stats=stats_of([2.0, 4.0, 3.0]),
         links=[LinkStats("repo->cacheA", 40_000, 4.0)],
         decision_counts={"cacheA": 4, "cacheB": 2},
         decision_prob_sums={"cacheA": 0.8, "cacheB": 1.0},
@@ -128,6 +127,26 @@ def test_delivery_accessors():
         MetricsReport(policy_label="lru", seed=1).mean_delivery()
     with pytest.raises(ValueError):
         MetricsReport(policy_label="lru", seed=1).stddev_delivery()
+
+
+def test_delivery_stats_accumulate_once(tmp_path, monkeypatch):
+    added = []
+    add = RunningStats.add
+    monkeypatch.setattr(RunningStats, "add",
+                        lambda acc, value: (added.append(value),
+                                            add(acc, value)))
+    # export_csv's cumulative pass is the one pass
+    report = _small_report()
+    report.export_csv(str(tmp_path))
+    assert (report.mean_delivery(), report.delivery_stats.count) == (3.0, 3)
+    report.stddev_delivery()
+    assert added == [2.0, 4.0, 3.0]
+    # without an export, the first accessor makes it
+    added.clear()
+    report = _small_report()
+    report.mean_delivery()
+    report.stddev_delivery()
+    assert added == [2.0, 4.0, 3.0]
 
 
 def test_link_accessors():

@@ -222,6 +222,17 @@ def test_mixed_face_bundle_matches_golden_sha(tmp_path):
     assert bundle_sha(report, tmp_path) == GOLDEN_MIXED_FACES
 
 
+def test_second_run_is_refused():
+    # a second run would start its clock at 0 on the links, caches and
+    # streams the first run left behind
+    sim = Simulation(preset("single", policy="lru", seed=1,
+                            requests_per_user=2000))
+    first = sim.run()
+    assert first.mean_delivery() == pytest.approx(1.49, abs=0.01)
+    with pytest.raises(RuntimeError, match="run already"):
+        sim.run()
+
+
 def test_seed_changes_the_run():
     a = Simulation(preset("single", seed=1, requests_per_user=400)).run()
     b = Simulation(preset("single", seed=2, requests_per_user=400)).run()

@@ -25,7 +25,8 @@ def report_state(report) -> dict:
     state = dict(vars(report))
     state["cache_labels"] = report.cache_labels
     state["user_requests"] = report.user_requests
-    stats = state.pop("delivery_stats")
+    state.pop("_delivery_stats", None)
+    stats = report.delivery_stats
     state["delivery_stats"] = (stats.count, stats.mean, stats._m2)
     state["links"] = [vars(ls) for ls in report.links]
     return state

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lacsim.workload import (DrawBuffer, PopularityModel, make_stream,
-                             next_interarrival, sample_rank, zipf_weights)
+from lacsim.workload import (REQUEST_BLOCK, DrawBuffer, PopularityModel,
+                             make_stream, next_interarrival, request_draws,
+                             sample_rank, zipf_weights)
 
 # sum(k**-1.7, k=1..20000) and the first normalized weights
 S_20000_17 = 2.05289504379949150
@@ -30,10 +31,18 @@ class FixedRng:
         return self.values.pop(0)
 
 
+class FixedDraws(FixedRng):
+    """FixedRng that also serves DrawBuffer.take."""
+
+    def take(self, n):
+        head, self.values = self.values[:n], self.values[n:]
+        return np.array(head, dtype=np.float64)
+
+
 def test_single_object_catalog_is_certain():
     model = zipf_weights(1, 1.7)
     assert model.weights.tolist() == [1.0]
-    assert model.cumulative == [1.0]
+    assert model.cumulative.tolist() == [1.0]
 
 
 def test_two_object_catalog_alpha_one():
@@ -146,3 +155,81 @@ def test_draw_buffer_matches_scalar_generator():
     # spans two buffer refills
     n = DrawBuffer._BLOCK + 500
     assert [buf.random() for _ in range(n)] == [ref.random() for _ in range(n)]
+
+
+def test_draw_buffer_take_interleaved_with_random():
+    buf = DrawBuffer(make_stream(11, 2))
+    got = []
+    # a take inside the buffer, one that ends exactly at its end, one that
+    # runs past it, a take of nothing, and takes larger than a whole buffer
+    for n in (3, DrawBuffer._BLOCK - 4, 0, 5000, 7, 3 * DrawBuffer._BLOCK):
+        got.append(buf.random())
+        taken = buf.take(n)
+        assert taken.dtype == np.float64 and taken.shape == (n,)
+        got.extend(taken.tolist())
+    got.append(buf.random())
+    assert got == make_stream(11, 2).random(len(got)).tolist()
+
+
+def scalar_requests(model, rate, rng, quota):
+    """The first gap, then (gap to the next request or None, rank) per
+    request, drawn one call at a time."""
+    first = next_interarrival(rate, rng)
+    pairs = []
+    for k in range(1, quota + 1):
+        gap = next_interarrival(rate, rng) if k < quota else None
+        pairs.append((gap, sample_rank(model, rng)))
+    return first, pairs
+
+
+def block_requests(model, rate, rng, quota):
+    first = next_interarrival(rate, rng)
+    return first, list(request_draws(model, rate, rng, quota))
+
+
+@pytest.mark.parametrize("quota", [1, 2, REQUEST_BLOCK, REQUEST_BLOCK + 1,
+                                   REQUEST_BLOCK + 2, 3 * REQUEST_BLOCK + 17])
+def test_request_draws_match_scalar_draws(quota):
+    model = zipf_weights(20_000, 1.7)
+    scalar_rng = DrawBuffer(make_stream(3, 1))
+    block_rng = DrawBuffer(make_stream(3, 1))
+    expected = scalar_requests(model, 0.7, scalar_rng, quota)
+    assert block_requests(model, 0.7, block_rng, quota) == expected
+    assert all(isinstance(rank, int) for _, rank in expected[1])
+    # both leave the stream at the same place
+    assert block_rng.random() == scalar_rng.random()
+
+
+def _uniforms_with_zeros(count, zeros):
+    values = make_stream(5, 0).random(count).tolist()
+    for position in sorted(zeros, reverse=True):
+        values.insert(position, 0.0)
+    return values
+
+
+# positions of the scripted uniforms: 0 is the first gap, then the pair of
+# request k sits at 2k - 1 (gap) and 2k (rank) until a zero shifts them
+_QUOTA = REQUEST_BLOCK + 3
+_LAST_GAP = 2 * (_QUOTA - 1) - 1
+
+
+@pytest.mark.parametrize("zeros", [
+    [21],                                    # mid-block
+    [21, 21, 39],                            # twice in one slot, then again
+    [2 * REQUEST_BLOCK - 1],                 # last gap of the first block
+    [2 * REQUEST_BLOCK + 1],                 # first gap of the second block
+    [2 * REQUEST_BLOCK - 1, 2 * REQUEST_BLOCK + 1],
+    [_LAST_GAP],                             # the last gap of all
+    [22],                                    # a rank slot: no rejection
+])
+def test_request_draws_redraw_zero_gaps_as_scalar_draws(zeros):
+    model = zipf_weights(50, 1.2)
+    values = _uniforms_with_zeros(2 * _QUOTA + 8, zeros)
+    scalar_rng, block_rng = FixedRng(values), FixedDraws(values)
+    expected = scalar_requests(model, 2.0, scalar_rng, _QUOTA)
+    got = block_requests(model, 2.0, block_rng, _QUOTA)
+    assert got == expected
+    assert block_rng.values == scalar_rng.values
+    assert all(gap is None or gap > 0.0 for gap, _ in got[1])
+    if 22 in zeros:
+        assert got[1][10][1] == 1  # a zero rank draw is rank 1
