@@ -21,12 +21,14 @@ time its output becomes free, so each transmission is scheduled
 arithmetically (start = max(now, busy_until)). Events are requests, interest
 arrivals, and the arrival of an object's last packet at each hop (at a cache,
 or at a user, where it completes the delivery). The earlier packets of an
-object bound for a cache are not events: they wait in a FIFO owned by that
-cache and are applied just before the first event at that cache, or at a
-cache or user below it, that they precede (see Simulation.run). Every
-packet and event is keyed by (time, tick), with ticks drawn from one counter
-in scheduling order, so ties resolve deterministically: packets on one link
-in reservation order, and a packet against an event in the order they were
+object bound for a cache are not events: the ones one reservation sends
+down the link to that cache become one record, in a FIFO owned by that
+cache, and are applied just before the first event at that cache, or at a
+cache or user below it, that they precede (see Simulation.run). Every event
+and every record is keyed by (time, tick), with ticks drawn from one
+counter in scheduling order and a record's packets sharing the tick taken
+when it was made, so ties resolve deterministically: packets on one link in
+reservation order, and a packet against an event in the order they were
 scheduled. Interests are zero-sized and incur only propagation delay; only
 the data direction is capacitated.
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
@@ -359,27 +362,46 @@ class Simulation:
         RuntimeError.
 
         Only the last packet of an object is a heap event at each hop. The
-        earlier ones wait, as (arrival, tick, rank), in a FIFO owned by the
-        cache they are bound for, and are applied (counted, added to the
-        pending entry's arrival_sum and forwarded on every face) when an
-        event reaches that cache or a cache or user below it, root side
-        first; and at the time cap, for arrivals up to the cap. The result is
-        the same as with one event per packet, to the byte:
+        earlier ones wait in a FIFO owned by the cache they are bound for, as
+        records [rank, arrivals, tick, pos]: the arrival times that one
+        reservation made on the link to that cache (by send_object, or by
+        one drain for that face), one tick taken when the record is made,
+        and the index of the first packet not yet applied. Packets are
+        applied (counted, added to the pending entry's arrival_sum and
+        forwarded on every face) when an event reaches that cache or a
+        cache or user below it, root side first; and at the time cap, for
+        arrivals up to the cap. The result is the same as with one event
+        per packet, to the byte:
 
-        - Every key (time, tick) comes from one counter, so a queued packet
-          and an event compare as the per-packet loop's (time, sequence)
-          would. A cache is fed by one FIFO link, so its queue is sorted by
-          key, and an event that drains queues up to its own key applies
-          exactly the packets the per-packet loop would have handled before
-          it, at that cache and at every cache above it.
+        - One tick per record, taken at reservation, stands for the ticks
+          the per-packet loop gave its packets. Those were drawn back to
+          back with no event scheduled between them, so every event's tick
+          is on the same side of all of them and of the record's tick. A
+          packet arriving at a with record tick k thus compares against an
+          event keyed (t, tk) as (a, k) < (t, tk), as in the per-packet
+          loop.
+        - The split is two-sided: an event keyed (t, tk) applies a record up
+          to bisect_right(arrivals, t) when k < tk, since a packet tied with
+          it in time was scheduled before it, and up to
+          bisect_left(arrivals, t) otherwise. A cache is fed by one FIFO
+          link, so its packets are sorted by (arrival, tick) across and
+          within records, and an event applies exactly the prefix that the
+          per-packet loop would have handled before it, at that cache and
+          at every cache above it. A partly applied record keeps pos.
+        - A drain forwards a record's segment face by face, where the
+          per-packet loop went packet by packet across the faces. Each
+          link is fed by its parent alone, and the packets on any one
+          link are still reserved in their arrival order, so every link
+          gets the same transmit_packet calls in the same order.
         - A queued packet pushes no heap event: a packet that is not its
           object's last is not the last at the next hop either. So events
           are pushed in the per-packet loop's order, and their ticks order
           them as its sequence numbers did.
         - An event draining the caches above its node before it pushes
-          anything makes a packet forwarded there get an earlier tick than
+          anything makes a record forwarded there get an earlier tick than
           an event pushed after it exactly when the per-packet loop handled
-          it first; these are the only pairs that are ever compared.
+          its packets first; these are the only pairs that are ever
+          compared.
 
         So each cache sees its packets, interests and decisions in the
         per-packet loop's order, and every link gets the same
@@ -430,18 +452,22 @@ class Simulation:
         for u in self.users:
             next_draw[u] = request_draws(model, rate, rngs[u], quota).__next__
         trains = ppo > 1
+        # per cache: [rank, arrivals, tick, pos] records, each the packets
+        # of one object that one reservation sent down the link to it;
+        # arrivals[pos:] are still to be applied
         queue = [deque() for _ in range(n_nodes)]
 
         def send_object(face, rank, issues, t):
             """Reserve one whole object on the link down to face at time t.
             A user face gets one _COMPLETE at the last packet's arrival; a
-            cache face (issues is None) gets the earlier packets queued and
-            one _DATA for the last."""
+            cache face (issues is None) gets the earlier packets queued as
+            one record and one _DATA for the last."""
             link = uplink[face]
             if issues is None:
-                q = queue[face]
-                for _ in range(ppo - 1):
-                    q.append((link.transmit_packet(t), next(tick), rank))
+                if ppo > 1:
+                    sent = list(map(link.transmit_packet,
+                                    itertools.repeat(t, ppo - 1)))
+                    queue[face].append([rank, sent, next(tick), 0])
                 heappush(heap, (link.transmit_packet(t), next(tick), _DATA,
                                 face, rank))
                 return
@@ -449,20 +475,35 @@ class Simulation:
                 arr = link.transmit_packet(t)
             heappush(heap, (arr, next(tick), _COMPLETE, face, rank, issues))
 
-        def drain(chain, key):
-            """Apply the queued packets that precede key, cache by cache
-            along chain (root side first)."""
+        def drain(chain, t, tk):
+            """Apply the queued packets whose key precedes (t, tk), cache by
+            cache along chain (root side first)."""
             for node in chain:
                 q = queue[node]
-                while q and q[0] < key:
-                    a, _, rank = q.popleft()
+                while q:
+                    rec = q[0]
+                    rank, arrivals, rec_tick, pos = rec
+                    if rec_tick < tk:
+                        end = bisect_right(arrivals, t, pos)
+                    else:
+                        end = bisect_left(arrivals, t, pos)
+                    if end == pos:
+                        break
+                    seg = arrivals[pos:end]
                     e = pits[node][rank]
-                    e.received += 1
-                    e.arrival_sum += a
+                    e.received += end - pos
+                    total = e.arrival_sum
+                    for a in seg:
+                        total += a
+                    e.arrival_sum = total
                     for f, issues in e.faces.items():
-                        arr = uplink[f].transmit_packet(a)
+                        sent = list(map(uplink[f].transmit_packet, seg))
                         if issues is None:
-                            queue[f].append((arr, next(tick), rank))
+                            queue[f].append([rank, sent, next(tick), 0])
+                    if end < len(arrivals):
+                        rec[3] = end
+                        break
+                    q.popleft()
 
         now = 0.0
 
@@ -476,7 +517,7 @@ class Simulation:
             now = t
             kind = ev[2]
             if trains and kind != _COMPLETE:
-                drain(upstream[ev[3]], ev)
+                drain(upstream[ev[3]], t, ev[1])
 
             if kind == _DATA:
                 # the last packet of the object reached cache ev[3]
@@ -566,7 +607,7 @@ class Simulation:
             # packets that arrived by the time cap; without a cap the last
             # packet of every object has drained its queue already
             for node in self.caches:
-                drain(upstream[node], (now, math.inf))
+                drain(upstream[node], now, math.inf)
 
         report = MetricsReport(
             policy_label=self.config.policy.label(),

@@ -2,6 +2,7 @@
 loop it replaced (tests/per_packet_oracle.py), on every field of the report,
 and invariants of generated tree topologies."""
 
+import random
 import tempfile
 from pathlib import Path
 
@@ -191,3 +192,45 @@ def test_generated_trees(raw):
         with tempfile.TemporaryDirectory() as tmp:
             first = bundle_sha(report, Path(tmp, "a"))
             assert bundle_sha(again, Path(tmp, "b")) == first
+
+
+# ------------------------------------------------------------ equal-time ties
+
+def tie_tree(seed: int, ppo: int) -> dict:
+    """A fixed random tree on which queued packets and events meet at equal
+    times. Every link runs at 1e21 bps, and only the user links have a
+    propagation delay, of 1 s. Users issue all their requests within a few
+    ulps of time 0, so every interest reaches its cache at 1.0 s, where a
+    1000-byte packet's 8e-18 s rounds away: every packet and event at a
+    cache has time 1.0, and ticks alone order them."""
+    draw = random.Random(seed)
+    n_caches, n_users = draw.randint(1, 6), draw.randint(1, 4)
+    ids = list(range(1, n_caches + n_users + 2))
+    draw.shuffle(ids)
+    repo, caches, users = ids[0], ids[1:n_caches + 1], ids[n_caches + 1:]
+    nodes = [{"id": repo, "kind": "repository"}]
+    links = []
+    for i, cid in enumerate(caches):
+        nodes.append({"id": cid, "kind": "cache",
+                      "cache_capacity_objects": draw.randint(0, 3)})
+        links.append({"down": cid, "up": draw.choice([repo] + caches[:i]),
+                      "capacity_bps": 1e21})
+    for uid in users:
+        nodes.append({"id": uid, "kind": "user"})
+        links.append({"down": uid, "up": draw.choice(caches),
+                      "capacity_bps": 1e21, "prop_delay_s": 1.0})
+    return {"seed": seed, "catalog_size": draw.randint(1, 12),
+            "zipf_alpha": 1.2, "request_rate_per_user": 1e20,
+            "object_size_bytes": ppo * PACKET_BYTES,
+            "packet_size_bytes": PACKET_BYTES,
+            "requests_per_user": draw.randint(1, 25),
+            "policy": draw.choice(POLICIES), "nodes": nodes, "links": links}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("ppo", [2, 20])
+def test_equal_time_ties_match_per_packet_loop(ppo, seed):
+    # a queued packet tied with an event is applied before it exactly when
+    # its record was made before the event was scheduled
+    report = assert_matches_oracle(scenario_from_dict(tie_tree(seed, ppo)))
+    assert report.deliveries == report.user_requests
