@@ -3,11 +3,14 @@
 A MetricsReport is a plain result container assembled by the simulator at
 the end of a run. It holds each measured quantity once, as the run loop
 wrote it; totals such as the number of user requests are derived from those
-records. All CSV emission lives here so the on-disk schema stays in
-one place: four files (miss_prob, delivery, links, summary), each versioned
+records. The run's CSV bundle is written here, so its schema stays in one
+place: four files (miss_prob, delivery, links, summary), each versioned
 with a header comment naming the schema and the scenario seed, columns in a
 fixed order, floats printed with nine decimals, newline-terminated. A given
-config and seed reproduces the files byte for byte.
+config and seed reproduces the files byte for byte. The other CSV files are
+written elsewhere: model_curves.csv by analytics.write_model_curves,
+model_sym.csv and model_eta.csv by cli, and each sweep.csv row by
+harness.RunSummary.csv_row.
 """
 
 from __future__ import annotations

@@ -99,7 +99,12 @@ class ConfigError(ValueError):
     """The scenario description is malformed or unroutable."""
 
 
-@dataclass
+# make_stream keys a node's Philox stream with seed ^ node_id, and Philox
+# takes keys in [0, 2**128)
+_KEY_BOUND = 2**128
+
+
+@dataclass(frozen=True)
 class NodeSpec:
     node_id: int
     kind: str
@@ -110,13 +115,15 @@ class NodeSpec:
     def __post_init__(self):
         if self.kind not in (USER, CACHE, REPOSITORY):
             raise ConfigError(f"unknown node kind {self.kind!r}")
+        if not 0 <= self.node_id < _KEY_BOUND:
+            raise ConfigError(f"node id must be in [0, 2**128), got {self.node_id!r}")
         if self.cache_capacity_objects < 0:
             raise ConfigError("cache capacity must be >= 0")
         if not self.label:
-            self.label = f"{self.kind}{self.node_id}"
+            object.__setattr__(self, "label", f"{self.kind}{self.node_id}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkSpec:
     """One edge of the tree. down is the node on the user side, up the node
     on the repository side; data is capacitated in the up -> down direction."""
@@ -127,17 +134,20 @@ class LinkSpec:
     prop_delay_s: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    nodes: list
-    links: list
+    nodes: tuple
+    links: tuple
+    parent: dict = field(init=False, repr=False, compare=False)
 
-    def node_map(self) -> dict:
-        return {n.node_id: n for n in self.nodes}
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "links", tuple(self.links))
+        object.__setattr__(self, "parent", self.validate())
 
     def validate(self) -> dict:
         """Check routability and return the parent map node_id -> node_id."""
-        nodes = self.node_map()
+        nodes = {n.node_id: n for n in self.nodes}
         if len(nodes) != len(self.nodes):
             raise ConfigError("duplicate node ids")
         # labels key the report and are written unquoted in the CSV bundle
@@ -192,8 +202,22 @@ class Topology:
         return parent
 
 
-@dataclass
+def _resolve_policy(value, defaults) -> InsertionPolicy:
+    """value, or the policy string value parsed with the keyword defaults."""
+    if isinstance(value, InsertionPolicy):
+        return value
+    if not isinstance(value, str):
+        raise ConfigError(f"policy must be a policy string, got {value!r}")
+    try:
+        return parse_policy(value, **defaults)
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown default
+        raise ConfigError(f"{exc} (policy_defaults {defaults})") from exc
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario, checked once when built; dataclasses.replace checks a copy."""
+
     topology: Topology
     catalog_size: int
     zipf_alpha: float
@@ -205,18 +229,15 @@ class ScenarioConfig:
     policy: InsertionPolicy = field(default_factory=InsertionPolicy)
     stats_warmup_s: float = 0.0
     max_sim_time_s: float = None
-    lcp_default_p: float = 0.1
-    lac_default_beta: float = 5.0
-    lac_default_gamma: float = 5.0
+    policy_defaults: dict = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        """Raise ConfigError for an out-of-range scalar field. Simulation
-        checks again, because library callers and tests may assign fields
-        after construction."""
+        if self.catalog_size < 1:
+            raise ConfigError(f"catalog_size must be >= 1, got {self.catalog_size!r}")
+        if not (math.isfinite(self.zipf_alpha) and self.zipf_alpha > 0.0):
+            raise ConfigError(f"zipf_alpha must be positive and finite, "
+                              f"got {self.zipf_alpha!r}")
         if self.requests_per_user < 1:
             raise ConfigError("requests_per_user must be >= 1")
         if self.object_size_bytes < 1 or self.packet_size_bytes < 1:
@@ -226,8 +247,9 @@ class ScenarioConfig:
         if not (math.isfinite(self.request_rate) and self.request_rate > 0.0):
             raise ConfigError(f"request_rate must be positive and finite, "
                               f"got {self.request_rate!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        if not 0 <= self.seed < _KEY_BOUND:
+            raise ConfigError(f"seed must be an integer in [0, 2**128), "
+                              f"got {self.seed!r}")
         if not math.isfinite(self.stats_warmup_s):
             raise ConfigError(f"stats_warmup_s must be finite, "
                               f"got {self.stats_warmup_s!r}")
@@ -235,17 +257,16 @@ class ScenarioConfig:
         if cap is not None and not (math.isfinite(cap) and cap > 0.0):
             raise ConfigError(f"max_sim_time_s must be positive and finite, "
                               f"got {cap!r}")
+        # every default must make a valid policy, used or not
+        for name in ("lcp", "lac"):
+            self.resolve_policy(name)
 
     @property
     def packets_per_object(self) -> int:
         return self.object_size_bytes // self.packet_size_bytes
 
     def resolve_policy(self, text_or_policy) -> InsertionPolicy:
-        if isinstance(text_or_policy, InsertionPolicy):
-            return text_or_policy
-        return parse_policy(text_or_policy, lcp_p=self.lcp_default_p,
-                            lac_beta=self.lac_default_beta,
-                            lac_gamma=self.lac_default_gamma)
+        return _resolve_policy(text_or_policy, self.policy_defaults)
 
 
 class Link:
@@ -303,8 +324,7 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        config.validate()
-        parent_ids = config.topology.validate()
+        parent_ids = config.topology.parent
         nodes = config.topology.nodes
         self.idx_of = {n.node_id: i for i, n in enumerate(nodes)}
         self.labels = [n.label for n in nodes]
@@ -713,11 +733,16 @@ _SCALAR_KEYS = {
     "max_sim_time_s": ("max_sim_time_s", float),
     "name": ("name", str),
 }
-_POLICY_DEFAULT_KEYS = {"lcp_p": "lcp_default_p", "lac_beta": "lac_default_beta",
-                        "lac_gamma": "lac_default_gamma"}
 _SCENARIO_KEYS = {"policy", "policy_defaults", "nodes", "links", *_SCALAR_KEYS}
 _NODE_KEYS = {"id", "kind", "cache_capacity_objects", "label", "policy"}
 _LINK_KEYS = {"down", "up", "capacity_bps", "prop_delay_s"}
+
+
+def _integer(key: str, value) -> int:
+    """value as an int; a bool or a fractional number is refused, not truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
@@ -734,18 +759,22 @@ def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         defaults = raw.get("policy_defaults") or {}
-        if not set(defaults) <= set(_POLICY_DEFAULT_KEYS):
-            raise ConfigError(f"unknown policy_defaults keys in {sorted(defaults)}")
+        if not isinstance(defaults, dict):
+            raise ConfigError(f"policy_defaults must be a mapping, got {defaults!r}")
+        defaults = {key: float(value) for key, value in defaults.items()}
         nodes = []
         for nd in raw.get("nodes", []):
             unknown = set(nd) - _NODE_KEYS
             if unknown:
                 raise ConfigError(f"unknown node keys: {sorted(unknown)}")
+            policy = nd.get("policy")
             nodes.append(NodeSpec(
-                node_id=int(nd["id"]),
+                node_id=_integer("id", nd["id"]),
                 kind=str(nd["kind"]),
-                cache_capacity_objects=int(nd.get("cache_capacity_objects", 0)),
+                cache_capacity_objects=_integer(
+                    "cache_capacity_objects", nd.get("cache_capacity_objects", 0)),
                 label=str(nd.get("label", "")),
+                policy=None if policy is None else _resolve_policy(policy, defaults),
             ))
         links = []
         for ld in raw.get("links", []):
@@ -753,26 +782,20 @@ def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
             if unknown:
                 raise ConfigError(f"unknown link keys: {sorted(unknown)}")
             links.append(LinkSpec(
-                down=int(ld["down"]),
-                up=int(ld["up"]),
+                down=_integer("down", ld["down"]),
+                up=_integer("up", ld["up"]),
                 capacity_bps=float(ld["capacity_bps"]),
                 prop_delay_s=float(ld.get("prop_delay_s", 0.0)),
             ))
-        fields = {f: kind(raw[key]) for key, (f, kind) in _SCALAR_KEYS.items()
+        fields = {f: _integer(key, raw[key]) if kind is int else kind(raw[key])
+                  for key, (f, kind) in _SCALAR_KEYS.items()
                   if raw.get(key) is not None}
-        fields.update((f, float(defaults[key]))
-                      for key, f in _POLICY_DEFAULT_KEYS.items() if key in defaults)
-        config = ScenarioConfig(topology=Topology(nodes=nodes, links=links),
-                                **fields)
+        if raw.get("policy") is not None:
+            fields["policy"] = _resolve_policy(raw["policy"], defaults)
+        return ScenarioConfig(topology=Topology(nodes=nodes, links=links),
+                              policy_defaults=defaults, **fields)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed scenario config: {exc!r}") from exc
-    if raw.get("policy") is not None:
-        config.policy = config.resolve_policy(raw["policy"])
-    for nd, spec in zip(raw.get("nodes", []), nodes):
-        if nd.get("policy") is not None:
-            spec.policy = config.resolve_policy(nd["policy"])
-    config.topology.validate()
-    return config
 
 
 def load_scenario(path: str, **overrides) -> ScenarioConfig:
@@ -782,11 +805,19 @@ def load_scenario(path: str, **overrides) -> ScenarioConfig:
     Required top-level keys: catalog_size, zipf_alpha, request_rate_per_user,
     object_size_bytes, packet_size_bytes, requests_per_user, nodes, links.
     Optional ones, which default to the ScenarioConfig fields: seed, policy,
-    policy_defaults {lcp_p, lac_beta, lac_gamma}, stats_warmup_s,
-    max_sim_time_s, name. Node entries carry {id, kind:
-    user|cache|repository, cache_capacity_objects, label, policy}; link
-    entries {down, up, capacity_bps, prop_delay_s} with down the user-side
-    endpoint. PRESETS holds complete examples.
+    policy_defaults, stats_warmup_s, max_sim_time_s, name. Node entries
+    carry {id, kind: user|cache|repository, cache_capacity_objects, label,
+    policy}; link entries {down, up, capacity_bps, prop_delay_s} with down
+    the user-side endpoint. Counts and ids must be whole numbers. PRESETS
+    holds complete examples.
+
+    policy_defaults is a mapping {lcp_p, lac_beta, lac_gamma} of the
+    parse_policy keywords that a policy string without parameters takes,
+    top-level and per node; a key left out keeps parse_policy's default.
+
+    The result is a frozen value, checked once as it is built: it cannot
+    be changed afterwards, and dataclasses.replace makes a changed copy,
+    which is checked again.
     """
     with open(path) as fh:
         try:

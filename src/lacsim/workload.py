@@ -94,7 +94,7 @@ def next_interarrival(rate: float, rng) -> float:
 
     Strictly positive: a zero uniform draw is rejected and redrawn, and
     u -> 1 gives a gap -> 0 without ever reaching it. The rate is taken as
-    given; ScenarioConfig.validate checks that it is positive and finite.
+    given; ScenarioConfig checks that it is positive and finite.
     """
     u = rng.random()
     while u <= 0.0:

@@ -311,3 +311,22 @@ def test_sweep_prints_per_policy_means(tmp_path, capsys):
         assert value == pytest.approx(sum(float(r[col]) for r in lru) / 3,
                                       abs=5e-5)
     assert all(0.0 < rho <= 1.0 for rho in table["lac:5,5"][3:])
+
+
+@pytest.mark.parametrize("where", ["top", "node"])
+@pytest.mark.parametrize("policy", [5, ["lru"]])
+def test_sim_rejects_non_string_policy(where, policy, tmp_path, capsys):
+    raw = dict(MINI_SCENARIO)
+    if where == "top":
+        raw["policy"] = policy
+    else:
+        raw["nodes"] = [dict(n) for n in MINI_SCENARIO["nodes"]]
+        raw["nodes"][1]["policy"] = policy
+    path = tmp_path / "policy.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    outdir = tmp_path / "run"
+    assert main(["sim", "--config", str(path), "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "policy" in err
+    assert not outdir.exists()

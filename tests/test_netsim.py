@@ -2,6 +2,7 @@
 conservation laws, reproducibility, and agreement with the steady-state
 model."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -31,8 +32,7 @@ def tiny_config(catalog=1, cap=1, horizon=10, policy="lru", seed=1, rate=1.0,
         request_rate=rate, object_size_bytes=10_000,
         packet_size_bytes=10_000, requests_per_user=horizon, seed=seed,
         **kwargs)
-    config.policy = config.resolve_policy(policy)
-    return config
+    return dataclasses.replace(config, policy=config.resolve_policy(policy))
 
 
 def requests_hits(report, label) -> tuple:
@@ -335,8 +335,11 @@ def test_time_cap_clips_elapsed_and_busy_time():
     # a cacheless single preset saturates the 30 Kbps repository link, so
     # transmissions reserved before the cap run past it
     config = preset("single", policy="lru", seed=1, requests_per_user=2000)
-    config.topology.nodes[1].cache_capacity_objects = 0
-    config.max_sim_time_s = 300.0
+    nodes = list(config.topology.nodes)
+    nodes[1] = dataclasses.replace(nodes[1], cache_capacity_objects=0)
+    config = dataclasses.replace(
+        config, topology=dataclasses.replace(config.topology, nodes=nodes),
+        max_sim_time_s=300.0)
     report = Simulation(config).run()
     assert report.deliveries < 2000
     assert report.elapsed == 300.0
@@ -550,3 +553,104 @@ def test_loader_rejects_malformed_input(tmp_path):
     bad.write_text("nodes: [unterminated\n")
     with pytest.raises(ConfigError):
         load_scenario(str(bad))
+
+
+@pytest.mark.parametrize("where,key", [
+    (None, "catalog_size"), (None, "requests_per_user"),
+    (None, "object_size_bytes"), (None, "packet_size_bytes"), (None, "seed"),
+    ("nodes", "id"), ("nodes", "cache_capacity_objects"),
+    ("links", "down"), ("links", "up"),
+])
+@pytest.mark.parametrize("value", ["fraction", True])
+def test_loader_rejects_non_integral_counts(where, key, value):
+    # a count is never truncated: 1.9 requests is not 1, and true is not 1
+    raw = dict(BASE_YAML)
+    if where is None:
+        entry = raw
+    else:
+        raw[where] = [dict(e) for e in BASE_YAML[where]]
+        entry = raw[where][1 if key == "cache_capacity_objects" else 0]
+    entry[key] = entry[key] + 0.5 if value == "fraction" else value
+    with pytest.raises(ConfigError, match=key):
+        scenario_from_dict(raw)
+
+
+def test_loader_reads_whole_floats_as_integers():
+    config = scenario_from_dict(dict(BASE_YAML, catalog_size=40.0))
+    assert config.catalog_size == 40 and isinstance(config.catalog_size, int)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("catalog_size", 0), ("catalog_size", -3),
+    ("zipf_alpha", 0.0), ("zipf_alpha", -1.7),
+    ("zipf_alpha", math.nan), ("zipf_alpha", math.inf),
+    ("seed", 2**128), ("seed", 2**130 + 3),
+])
+def test_loader_rejects_values_the_run_cannot_use(key, value):
+    # each of these used to be accepted and then fail in Simulation with a
+    # bare ValueError from zipf_weights or from the stream's Philox key
+    with pytest.raises(ConfigError, match=key):
+        scenario_from_dict(dict(BASE_YAML, **{key: value}))
+
+
+def test_stream_keys_stay_below_the_philox_bound():
+    # seed ^ node_id keys a Philox stream, which takes keys in [0, 2**128)
+    report = Simulation(scenario_from_dict(dict(BASE_YAML, seed=2**128 - 1))).run()
+    assert report.deliveries == BASE_YAML["requests_per_user"]
+    for node_id in (-1, 2**128):
+        with pytest.raises(ConfigError):
+            NodeSpec(node_id, USER)
+
+
+@pytest.mark.parametrize("where", ["top", "node"])
+@pytest.mark.parametrize("policy", [5, ["lru"], {"lru": 1}, "bogus", "lcp:2"])
+def test_loader_rejects_bad_policies(where, policy):
+    raw = dict(BASE_YAML)
+    if where == "top":
+        raw["policy"] = policy
+    else:
+        raw["nodes"] = [dict(n) for n in BASE_YAML["nodes"]]
+        raw["nodes"][1]["policy"] = policy
+    with pytest.raises(ConfigError, match="policy"):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("defaults", [{"lcp_q": 0.2}, {"lcp_p": 1.5},
+                                      {"lac_beta": -1.0}, ["lcp_p"]])
+def test_loader_rejects_bad_policy_defaults(defaults):
+    # checked when the config is built, whether or not a policy string uses
+    # them
+    for policy in ("lru", "lcp", "lac"):
+        with pytest.raises(ConfigError, match="policy"):
+            scenario_from_dict(dict(BASE_YAML, policy=policy,
+                                    policy_defaults=defaults))
+
+
+def test_configs_are_frozen_values():
+    # a config is checked once, when it is built; it cannot be changed
+    # afterwards, and a copy made with dataclasses.replace is checked again
+    config = preset("tree", policy="lac", requests_per_user=5)
+    topology = config.topology
+    for value in (config, topology, topology.nodes[0], topology.links[0]):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+    with pytest.raises(ConfigError):
+        dataclasses.replace(config, max_sim_time_s=0.0)
+    with pytest.raises(ConfigError):  # the root cache loses its uplink
+        dataclasses.replace(topology, links=topology.links[:-1])
+    with pytest.raises(ConfigError):
+        dataclasses.replace(topology.nodes[0], kind="router")
+    copy = dataclasses.replace(config, seed=4)
+    assert copy.seed == 4 and copy.topology is topology
+    assert copy.policy_defaults == config.policy_defaults
+    # the parent map the check computed is kept
+    assert topology.parent == {1: 5, 2: 6, 3: 7, 4: 8, 5: 9, 6: 9, 7: 10,
+                               8: 10, 9: 11, 10: 11, 11: 12}
+
+
+def test_simulation_runs_no_scenario_check(monkeypatch):
+    config = preset("single", policy="lac", requests_per_user=5)
+    monkeypatch.setattr(Topology, "validate",
+                        lambda self: pytest.fail("topology checked again"))
+    assert Simulation(config).run().deliveries == 5

@@ -2,6 +2,7 @@
 loop it replaced (tests/per_packet_oracle.py), on every field of the report,
 and invariants of generated tree topologies."""
 
+import dataclasses
 import random
 import tempfile
 from pathlib import Path
@@ -68,8 +69,11 @@ def test_capped_runs_match_per_packet_loop(name, cap):
         config = preset(name, policy="lac", seed=2,
                         requests_per_user=HORIZONS[name])
     if name == "single":
-        config.topology.nodes[1].cache_capacity_objects = 0
-    config.max_sim_time_s = cap
+        nodes = list(config.topology.nodes)
+        nodes[1] = dataclasses.replace(nodes[1], cache_capacity_objects=0)
+        config = dataclasses.replace(
+            config, topology=dataclasses.replace(config.topology, nodes=nodes))
+    config = dataclasses.replace(config, max_sim_time_s=cap)
     report = assert_matches_oracle(config)
     assert report.elapsed == cap
     quota = config.requests_per_user * len(report.user_request_counts)
@@ -234,3 +238,30 @@ def test_equal_time_ties_match_per_packet_loop(ppo, seed):
     # its record was made before the event was scheduled
     report = assert_matches_oracle(scenario_from_dict(tie_tree(seed, ppo)))
     assert report.deliveries == report.user_requests
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_interest_tied_with_a_later_record_joins_the_stream(seed):
+    # users a and b under cache c, 1000-byte packets at 32 kbps (0.25 s
+    # each), 5 per object. a's interest reaches c at 0.75 s and is forwarded;
+    # the repository's first packet reaches c at 1.0 s in a record made then,
+    # after b's interest, due at c at 1.0 s as well, was pushed. So b joins
+    # before that packet and is sent the stream as it arrives: the last
+    # packet reaches c at 2.0 s and b at 2.25 + 1.0 s. Had the packet been
+    # applied first, b would have joined midway and been sent a whole copy
+    # from 2.0 s, complete at 4.25 s
+    link = {"capacity_bps": 32e3}
+    raw = {"seed": seed, "catalog_size": 1, "zipf_alpha": 1.2,
+           "request_rate_per_user": 1e20, "object_size_bytes": 5000,
+           "packet_size_bytes": 1000, "requests_per_user": 1,
+           "policy": "lru",
+           "nodes": [{"id": 1, "kind": "user", "label": "a"},
+                     {"id": 2, "kind": "user", "label": "b"},
+                     {"id": 3, "kind": "cache", "label": "c",
+                      "cache_capacity_objects": 1},
+                     {"id": 4, "kind": "repository"}],
+           "links": [dict(link, down=1, up=3, prop_delay_s=0.75),
+                     dict(link, down=2, up=3, prop_delay_s=1.0),
+                     dict(link, down=3, up=4)]}
+    report = assert_matches_oracle(scenario_from_dict(raw))
+    assert sorted(report.delivery_completed) == [3.0, 3.25]
