@@ -121,10 +121,6 @@ class MetricsReport:
                                           compare=False)
 
     @property
-    def cache_labels(self) -> list:
-        return list(self.rank_counters)
-
-    @property
     def user_requests(self) -> int:
         return sum(self.user_request_counts.values())
 

@@ -229,10 +229,12 @@ class ScenarioConfig:
     policy: InsertionPolicy = field(default_factory=InsertionPolicy)
     stats_warmup_s: float = 0.0
     max_sim_time_s: float = None
-    policy_defaults: dict = field(default_factory=dict)
+    policy_defaults: tuple = ()  # sorted (key, value) pairs; a mapping is converted
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "policy_defaults",
+                           tuple(sorted(dict(self.policy_defaults).items())))
         if self.catalog_size < 1:
             raise ConfigError(f"catalog_size must be >= 1, got {self.catalog_size!r}")
         if not (math.isfinite(self.zipf_alpha) and self.zipf_alpha > 0.0):
@@ -266,7 +268,7 @@ class ScenarioConfig:
         return self.object_size_bytes // self.packet_size_bytes
 
     def resolve_policy(self, text_or_policy) -> InsertionPolicy:
-        return _resolve_policy(text_or_policy, self.policy_defaults)
+        return _resolve_policy(text_or_policy, dict(self.policy_defaults))
 
 
 class Link:
@@ -719,30 +721,41 @@ def preset(name: str, policy=None, seed: int = None,
                               stats_warmup_s=stats_warmup_s)
 
 
-# config-file key -> (ScenarioConfig field, type); a key that is absent or
-# null takes the field's default
-_SCALAR_KEYS = {
-    "catalog_size": ("catalog_size", int),
-    "zipf_alpha": ("zipf_alpha", float),
-    "request_rate_per_user": ("request_rate", float),
-    "object_size_bytes": ("object_size_bytes", int),
-    "packet_size_bytes": ("packet_size_bytes", int),
-    "requests_per_user": ("requests_per_user", int),
-    "seed": ("seed", int),
-    "stats_warmup_s": ("stats_warmup_s", float),
-    "max_sim_time_s": ("max_sim_time_s", float),
-    "name": ("name", str),
-}
-_SCENARIO_KEYS = {"policy", "policy_defaults", "nodes", "links", *_SCALAR_KEYS}
-_NODE_KEYS = {"id", "kind", "cache_capacity_objects", "label", "policy"}
-_LINK_KEYS = {"down", "up", "capacity_bps", "prop_delay_s"}
-
-
 def _integer(key: str, value) -> int:
     """value as an int; a bool or a fractional number is refused, not truncated."""
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be a whole number, got {value!r}") from None
+
+
+def _real(key: str, value) -> float:
+    """value as a float; a string that float() cannot read is refused."""
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+# config-file key -> (ScenarioConfig field, conversion); a key that is
+# absent or null takes the field's default
+_SCALAR_KEYS = {
+    "catalog_size": ("catalog_size", _integer),
+    "zipf_alpha": ("zipf_alpha", _real),
+    "request_rate_per_user": ("request_rate", _real),
+    "object_size_bytes": ("object_size_bytes", _integer),
+    "packet_size_bytes": ("packet_size_bytes", _integer),
+    "requests_per_user": ("requests_per_user", _integer),
+    "seed": ("seed", _integer),
+    "stats_warmup_s": ("stats_warmup_s", _real),
+    "max_sim_time_s": ("max_sim_time_s", _real),
+    "name": ("name", lambda key, value: str(value)),
+}
+_SCENARIO_KEYS = {"policy", "policy_defaults", "nodes", "links", *_SCALAR_KEYS}
+_NODE_KEYS = {"id", "kind", "cache_capacity_objects", "label", "policy"}
+_LINK_KEYS = {"down", "up", "capacity_bps", "prop_delay_s"}
 
 
 def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
@@ -761,7 +774,7 @@ def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
         defaults = raw.get("policy_defaults") or {}
         if not isinstance(defaults, dict):
             raise ConfigError(f"policy_defaults must be a mapping, got {defaults!r}")
-        defaults = {key: float(value) for key, value in defaults.items()}
+        defaults = {key: _real(key, value) for key, value in defaults.items()}
         nodes = []
         for nd in raw.get("nodes", []):
             unknown = set(nd) - _NODE_KEYS
@@ -784,11 +797,11 @@ def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
             links.append(LinkSpec(
                 down=_integer("down", ld["down"]),
                 up=_integer("up", ld["up"]),
-                capacity_bps=float(ld["capacity_bps"]),
-                prop_delay_s=float(ld.get("prop_delay_s", 0.0)),
+                capacity_bps=_real("capacity_bps", ld["capacity_bps"]),
+                prop_delay_s=_real("prop_delay_s", ld.get("prop_delay_s", 0.0)),
             ))
-        fields = {f: _integer(key, raw[key]) if kind is int else kind(raw[key])
-                  for key, (f, kind) in _SCALAR_KEYS.items()
+        fields = {f: convert(key, raw[key])
+                  for key, (f, convert) in _SCALAR_KEYS.items()
                   if raw.get(key) is not None}
         if raw.get("policy") is not None:
             fields["policy"] = _resolve_policy(raw["policy"], defaults)
@@ -814,6 +827,9 @@ def load_scenario(path: str, **overrides) -> ScenarioConfig:
     policy_defaults is a mapping {lcp_p, lac_beta, lac_gamma} of the
     parse_policy keywords that a policy string without parameters takes,
     top-level and per node; a key left out keeps parse_policy's default.
+    The config holds it as sorted (key, value) pairs. A number may also be
+    given as a string that int() or float() reads (PyYAML reads 30e3 as
+    one); any other string is a ConfigError.
 
     The result is a frozen value, checked once as it is built: it cannot
     be changed afterwards, and dataclasses.replace makes a changed copy,

@@ -7,11 +7,13 @@ test.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lacsim import analytics
 from lacsim.analytics import (CheSolution, clamp_events, eta_asym, eta_sym,
                               fig1_grid, miss_asym, miss_mixture, miss_sym,
                               reset_clamp_events, rvrtt, solve_tau, tau_sym,
@@ -86,6 +88,107 @@ def test_solve_tau_reproduces_pinned_bits(catalog):
         sol = solve_tau(x, 1.0, catalog, mean_p=mean_p)
         assert (sol.tau, sol.residual, sol.iterations) == \
             (tau, residual, iterations)
+
+
+def plain_solve_tau(x, rate_lambda, weights, mean_p, clamps):
+    """solve_tau as a plain bisection that evaluates g at every point: the
+    reference solve_tau must match bit for bit. Appends the number of
+    clamped miss values to clamps."""
+    lam = rate_lambda * weights
+    e, miss = np.empty_like(lam), np.empty_like(lam)
+
+    def g(tau):
+        np.negative(lam, out=e)
+        np.multiply(e, tau, out=e)
+        np.exp(e, out=e)
+        np.subtract(1.0, e, out=miss)
+        np.multiply(miss, 1.0 - mean_p, out=miss)
+        np.subtract(1.0, miss, out=miss)
+        np.divide(e, miss, out=miss)
+        clamps.append(int(np.count_nonzero((miss < 0.0) | (miss > 1.0))))
+        hit = np.subtract(1.0, np.clip(miss, 0.0, 1.0))
+        return float(np.sum(hit)) - x
+
+    lo, hi = 0.0, 1.0
+    expansions = 0
+    while g(hi) <= 0.0:
+        lo = hi
+        hi *= 2.0
+        expansions += 1
+        if expansions > 200:
+            raise RuntimeError("failed to bracket the characteristic time")
+    if not g(lo) < 0.0 < g(hi):
+        raise RuntimeError(f"no sign change on bracket [{lo}, {hi}]")
+    iterations = 0
+    while hi - lo > 1e-9 and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    tau = 0.5 * (lo + hi)
+    residual = abs(g(tau))
+    if residual > 1e-6 * x:
+        raise RuntimeError(f"characteristic-time residual {residual} exceeds tolerance")
+    return tau, residual, iterations
+
+
+def _result(solve, *args):
+    try:
+        sol = solve(*args)
+    except RuntimeError as exc:
+        return repr(exc)
+    return sol if isinstance(sol, tuple) else \
+        (sol.tau, sol.residual, sol.iterations)
+
+
+def _outcomes(*args):
+    """(result or error, clamp count) of solve_tau and of plain_solve_tau."""
+    reset_clamp_events()
+    new = _result(solve_tau, *args), clamp_events()
+    clamps = []
+    plain = _result(plain_solve_tau, *args, clamps), sum(clamps)
+    return new, plain
+
+
+def test_solve_tau_matches_plain_bisection_bit_for_bit():
+    # 1000 seeded cases: catalogs of 3 to 200000 (ten above 20000, to stay
+    # fast), alpha 0.8-2.5, x from 1 to n - 1, rates 1e-3 to 12 and mean_p
+    # 1e-6 to 1, log-uniform where the range spans decades
+    rng = random.Random(20261019)
+    for case in range(1000):
+        top = 200_000 if case % 100 == 0 else 20_000
+        n = round(10.0 ** rng.uniform(math.log10(3), math.log10(top)))
+        weights = zipf_weights(n, rng.uniform(0.8, 2.5)).weights
+        x = min(10.0 ** rng.uniform(0.0, math.log10(n - 1)), n - 1.0)
+        if case % 3 == 0:
+            x = float(math.floor(x))
+        rate = 10.0 ** rng.uniform(-3.0, math.log10(12.0))
+        mean_p = 1.0 if case % 10 == 0 else 10.0 ** rng.uniform(-6.0, 0.0)
+        args = (x, rate, weights, mean_p)
+        new, plain = _outcomes(*args)
+        assert new == plain, args
+    # admission so close to zero that the bound is not used (1e-15), or
+    # that 1 - mean_p rounds to 1 and the bracket check fails (1e-17)
+    for mean_p in (1e-15, 1e-17):
+        args = (2.0, 0.5, zipf_weights(50, 0.9).weights, mean_p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new, plain = _outcomes(*args)
+        assert new == plain, args
+
+
+def test_solve_tau_evaluates_near_the_root(catalog, monkeypatch):
+    # a plain bisection evaluates g 37-61 times on the pinned solves; with
+    # the checked band 5-14 evaluations remain
+    calls = []
+    evaluate = analytics._miss_asym_into
+    monkeypatch.setattr(analytics, "_miss_asym_into",
+                        lambda *a: calls.append(a[1]) or evaluate(*a))
+    for x, mean_p, *_ in SOLVE_TAU_PINS:
+        calls.clear()
+        solve_tau(x, 1.0, catalog, mean_p=mean_p)
+        assert 3 <= len(calls) <= 16, (x, mean_p, len(calls))
 
 
 def test_solve_tau_accepts_raw_vectors(catalog):

@@ -5,6 +5,7 @@ model."""
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import pytest
 import yaml
@@ -51,10 +52,10 @@ def assert_flow_conserved(sim, report):
     for i in sim.users:
         sent[labels[sim.parent[i]]] += report.user_request_counts[labels[i]]
     received = {label: requests_hits(report, label)[0]
-                for label in report.cache_labels}
+                for label in report.rank_counters}
     received[labels[sim.repo]] = report.repo_requests
     assert received == sent
-    for label in report.cache_labels:
+    for label in report.rank_counters:
         requests, hits = requests_hits(report, label)
         assert hits + report.forwards[label] <= requests  # joins >= 0
 
@@ -127,7 +128,7 @@ def test_flow_conservation(name, horizon):
                             requests_per_user=horizon))
     report = sim.run()
     assert_flow_conserved(sim, report)
-    assert report.cache_labels == list(report.forwards) == \
+    assert list(report.rank_counters) == list(report.forwards) == \
         [sim.labels[i] for i in sim.caches]
     for label, issued in report.user_request_counts.items():
         assert issued == horizon
@@ -487,7 +488,7 @@ def test_yaml_round_trip(tmp_path):
     assert config.seed == 3
     report = Simulation(config).run()
     assert report.deliveries == 60
-    assert "edge" in report.cache_labels
+    assert "edge" in report.rank_counters
 
 
 def test_per_node_policy_override():
@@ -624,6 +625,46 @@ def test_loader_rejects_bad_policy_defaults(defaults):
         with pytest.raises(ConfigError, match="policy"):
             scenario_from_dict(dict(BASE_YAML, policy=policy,
                                     policy_defaults=defaults))
+
+
+@pytest.mark.parametrize("where,key,value", [
+    (None, "catalog_size", "x"), (None, "zipf_alpha", "steep"),
+    ("links", "capacity_bps", "fast"), ("links", "prop_delay_s", "soon"),
+])
+def test_loader_reports_unreadable_numbers(where, key, value):
+    # a string that int() or float() cannot read is a ConfigError naming
+    # the key, not a bare ValueError from the conversion
+    raw = dict(BASE_YAML)
+    entry = raw
+    if where is not None:
+        raw[where] = [dict(e) for e in BASE_YAML[where]]
+        entry = raw[where][0]
+    entry[key] = value
+    with pytest.raises(ConfigError, match=key):
+        scenario_from_dict(raw)
+
+
+def test_loader_reads_numeric_strings():
+    # PyYAML reads 30e3 and 3.0e4 as strings
+    raw = yaml.safe_load("catalog_size: '40'\nzipf_alpha: 1.7e0\n")
+    raw = dict(BASE_YAML, **raw)
+    raw["links"] = [dict(BASE_YAML["links"][0], capacity_bps="30e3"),
+                    dict(BASE_YAML["links"][1], capacity_bps="3.0e4")]
+    config = scenario_from_dict(raw)
+    assert config.catalog_size == 40 and config.zipf_alpha == 1.7
+    assert [ls.capacity_bps for ls in config.topology.links] == [30e3, 30e3]
+
+
+def test_policy_defaults_are_frozen_and_picklable():
+    config = preset("tree", policy="lac", requests_per_user=5)
+    with pytest.raises(TypeError):
+        config.policy_defaults["lcp_p"] = 2.0
+    assert config.resolve_policy("lcp") == preset("tree").resolve_policy("lcp")
+    assert pickle.loads(pickle.dumps(config)) == config
+    copy = dataclasses.replace(config, seed=4)
+    assert copy.policy_defaults == config.policy_defaults
+    assert copy.resolve_policy("lac") == config.resolve_policy("lac")
+    assert copy.resolve_policy("lac").beta == 3.0
 
 
 def test_configs_are_frozen_values():

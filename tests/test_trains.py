@@ -25,7 +25,7 @@ def report_state(report) -> dict:
     decision sums, elapsed, and each link's bytes and busy seconds; and the
     derived cache labels (in order) and user request total."""
     state = dict(vars(report))
-    state["cache_labels"] = report.cache_labels
+    state["cache_labels"] = list(report.rank_counters)
     state["user_requests"] = report.user_requests
     state.pop("_delivery_stats", None)
     stats = report.delivery_stats
