@@ -258,6 +258,10 @@ def solve_tau(x: float, rate_lambda: float, popularity, mean_p: float = 1.0) -> 
         raise ValueError(f"cache size x must lie in (0, catalog={n}), got {x!r}")
     if not 0.0 < mean_p <= 1.0:
         raise ValueError(f"mean_p must lie in (0, 1], got {mean_p!r}")
+    if 1.0 - mean_p == 1.0:
+        # no miss is ever admitted in float arithmetic: the occupancy stays 0
+        raise ValueError(f"mean_p {mean_p!r} is too small: 1 - mean_p rounds "
+                         f"to 1")
     if rate_lambda <= 0.0:
         raise ValueError(f"rate_lambda must be positive, got {rate_lambda!r}")
     neg_lam = rate_lambda * weights

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -91,12 +92,14 @@ class MetricsReport:
     opened; the interests that joined a pending entry are requests - hits -
     forwards. user_request_counts maps each user label to the requests it
     issued, and user_requests is their sum. Deliveries are stored
-    column-wise in completion order. The delivery statistics are derived
-    from the delivery_issued and delivery_completed columns: delivery_stats
-    adds each duration completed - issued to a RunningStats in completion
-    order, once per report, on first use or in export_csv's cumulative
-    pass, whichever comes first. The cumulative mean at any completion index
-    (cum_mean_at) is rebuilt from the columns with the same accumulator.
+    column-wise in completion order, in typed arrays: delivery_ranks of
+    typecode "q", delivery_issued and delivery_completed of typecode "d",
+    8 bytes per delivery each. The delivery statistics are derived from the
+    delivery_issued and delivery_completed columns: delivery_stats adds each
+    duration completed - issued to a RunningStats in completion order, once
+    per report, on first use or in export_csv's cumulative pass, whichever
+    comes first. The cumulative mean at any completion index (cum_mean_at)
+    is rebuilt from the columns with the same accumulator.
     """
 
     policy_label: str
@@ -108,9 +111,9 @@ class MetricsReport:
     user_request_counts: dict = field(default_factory=dict)
     repo_requests: int = 0
 
-    delivery_ranks: list = field(default_factory=list)
-    delivery_issued: list = field(default_factory=list)
-    delivery_completed: list = field(default_factory=list)
+    delivery_ranks: array = field(default_factory=lambda: array("q"))
+    delivery_issued: array = field(default_factory=lambda: array("d"))
+    delivery_completed: array = field(default_factory=lambda: array("d"))
 
     links: list = field(default_factory=list)
 

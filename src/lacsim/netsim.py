@@ -19,9 +19,10 @@ node is holding the reassembled object at that moment).
 Links never need idle/busy events: a FIFO link is fully described by the
 time its output becomes free, so each transmission is scheduled
 arithmetically (start = max(now, busy_until)). Events are requests, interest
-arrivals, and the arrival of an object's last packet at each hop (at a cache,
-or at a user, where it completes the delivery). The earlier packets of an
-object bound for a cache are not events: the ones one reservation sends
+arrivals, and the arrival of an object's last packet at each cache. A
+delivery to a user is not an event: it is recorded, with its arrival time,
+when its last packet is reserved on the user's link. The earlier packets of
+an object bound for a cache are not events: the ones one reservation sends
 down the link to that cache become one record, in a FIFO owned by that
 cache, and are applied just before the first event at that cache, or at a
 cache or user below it, that they precede (see Simulation.run). Every event
@@ -41,12 +42,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappush, heappop
-
-import yaml
+from heapq import heappop, heappush, merge
+from operator import itemgetter
 
 from .cache import (
     ASYMMETRIC,
@@ -92,7 +93,6 @@ REPOSITORY = "repository"
 _REQUEST = 0
 _INTEREST = 1
 _DATA = 2
-_COMPLETE = 3
 
 
 class ConfigError(ValueError):
@@ -141,12 +141,9 @@ class Topology:
     parent: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Check routability and keep the parent map node_id -> node_id."""
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "parent", self.validate())
-
-    def validate(self) -> dict:
-        """Check routability and return the parent map node_id -> node_id."""
         nodes = {n.node_id: n for n in self.nodes}
         if len(nodes) != len(self.nodes):
             raise ConfigError("duplicate node ids")
@@ -199,7 +196,7 @@ class Topology:
                     raise ConfigError(f"user {n.node_id} must attach to a cache")
             if n.kind == USER and any(p == n.node_id for p in parent.values()):
                 raise ConfigError(f"user {n.node_id} cannot have children")
-        return parent
+        object.__setattr__(self, "parent", parent)
 
 
 def _resolve_policy(value, defaults) -> InsertionPolicy:
@@ -383,7 +380,7 @@ class Simulation:
         streams keep the state the run left, so a second call raises
         RuntimeError.
 
-        Only the last packet of an object is a heap event at each hop. The
+        Only the last packet of an object is a heap event at each cache. The
         earlier ones wait in a FIFO owned by the cache they are bound for, as
         records [rank, arrivals, tick, pos]: the arrival times that one
         reservation made on the link to that cache (by send_object, or by
@@ -428,6 +425,21 @@ class Simulation:
         So each cache sees its packets, interests and decisions in the
         per-packet loop's order, and every link gets the same
         transmit_packet calls in the same order.
+
+        A delivery is not an event: the last packet's arrival at a user is
+        known when it is reserved on the user's link (by send_object, or by
+        a _DATA event for a user face), and the delivery is recorded then,
+        as one row (arrival time, tick, rank, issue time) per issue in that
+        user's columns. The tick is drawn where the per-packet loop pushed a
+        completion event, which pushed, drew and drained nothing else, so
+        every other event and record keeps its tick. A user's link is a
+        FIFO fed by its parent alone, and every reservation on it ends at
+        max(now, busy_until) + tx, so its arrival times never decrease in
+        reservation order: each user's rows are in (time, tick) order, the
+        order in which the per-packet loop popped its completion events.
+        After the loop, each user's rows past the end of the run are
+        dropped, and the users' rows are merged by (time, tick) (see
+        _merge_deliveries).
         """
         if self._ran:
             raise RuntimeError("this Simulation has run already; build a new "
@@ -460,9 +472,13 @@ class Simulation:
         user_issued = [0] * n_nodes
         repo_requests = 0
 
-        d_ranks = []
-        d_issued = []
-        d_completed = []
+        # per user: delivery columns (completed, tick, rank, issued), one
+        # row per issue, and their appends
+        columns = [(array("d"), array("q"), array("q"), array("d"))
+                   for _ in self.users]
+        appends = [None] * n_nodes
+        for u, cols in zip(self.users, columns):
+            appends[u] = tuple(col.append for col in cols)
 
         tick = itertools.count()
         heap = [(next_interarrival(rate, rngs[u]), next(tick),
@@ -479,11 +495,21 @@ class Simulation:
         # arrivals[pos:] are still to be applied
         queue = [deque() for _ in range(n_nodes)]
 
+        def deliver(user, arrival, rank, issues):
+            """Record the deliveries of rank to user at arrival."""
+            k = next(tick)
+            add_completed, add_tick, add_rank, add_issued = appends[user]
+            for issue in issues:
+                add_completed(arrival)
+                add_tick(k)
+                add_rank(rank)
+                add_issued(issue)
+
         def send_object(face, rank, issues, t):
             """Reserve one whole object on the link down to face at time t.
-            A user face gets one _COMPLETE at the last packet's arrival; a
-            cache face (issues is None) gets the earlier packets queued as
-            one record and one _DATA for the last."""
+            A user face has its deliveries recorded at the last packet's
+            arrival; a cache face (issues is None) gets the earlier packets
+            queued as one record and one _DATA for the last."""
             link = uplink[face]
             if issues is None:
                 if ppo > 1:
@@ -495,7 +521,7 @@ class Simulation:
                 return
             for _ in range(ppo):
                 arr = link.transmit_packet(t)
-            heappush(heap, (arr, next(tick), _COMPLETE, face, rank, issues))
+            deliver(face, arr, rank, issues)
 
         def drain(chain, t, tk):
             """Apply the queued packets whose key precedes (t, tk), cache by
@@ -538,7 +564,7 @@ class Simulation:
                 break
             now = t
             kind = ev[2]
-            if trains and kind != _COMPLETE:
+            if trains:
                 drain(upstream[ev[3]], t, ev[1])
 
             if kind == _DATA:
@@ -552,8 +578,7 @@ class Simulation:
                     if issues is None:
                         heappush(heap, (arr, next(tick), _DATA, f, rank))
                     else:
-                        heappush(heap, (arr, next(tick), _COMPLETE, f, rank,
-                                        issues))
+                        deliver(f, arr, rank, issues)
                 est = estimators[node]
                 delta = est.measure_delta_t(rank, e.arrival_sum / ppo)
                 if capacity[node] > 0:
@@ -608,28 +633,29 @@ class Simulation:
                                 parent[node], rank, node, None))
                 continue
 
-            if kind == _REQUEST:
-                u = ev[3]
-                user_issued[u] += 1
-                gap, rank = next_draw[u]()
-                if gap is not None:
-                    heappush(heap, (t + gap, next(tick), _REQUEST, u))
-                heappush(heap, (t + uplink[u].prop_s, next(tick), _INTEREST,
-                                parent[u], rank, u, t))
-                continue
+            # _REQUEST
+            u = ev[3]
+            user_issued[u] += 1
+            gap, rank = next_draw[u]()
+            if gap is not None:
+                heappush(heap, (t + gap, next(tick), _REQUEST, u))
+            heappush(heap, (t + uplink[u].prop_s, next(tick), _INTEREST,
+                            parent[u], rank, u, t))
 
-            # _COMPLETE: the object's last data packet reached user ev[3]
-            rank = ev[4]
-            for issue in ev[5]:
-                d_ranks.append(rank)
-                d_issued.append(issue)
-                d_completed.append(t)
-
+        # the run ends at its last event or delivery, or at the time cap if
+        # either lies past it
+        now = max([now, *(cols[0][-1] for cols in columns if cols[0])])
+        if time_cap is not None and now > time_cap:
+            now = time_cap
         if trains:
             # packets that arrived by the time cap; without a cap the last
             # packet of every object has drained its queue already
             for node in self.caches:
                 drain(upstream[node], now, math.inf)
+        for cols in columns:
+            end = bisect_right(cols[0], now)
+            for col in cols:
+                del col[end:]
 
         report = MetricsReport(
             policy_label=self.config.policy.label(),
@@ -645,9 +671,8 @@ class Simulation:
         for i in self.users:
             report.user_request_counts[self.labels[i]] = user_issued[i]
         report.repo_requests = repo_requests
-        report.delivery_ranks = d_ranks
-        report.delivery_issued = d_issued
-        report.delivery_completed = d_completed
+        (report.delivery_completed, report.delivery_ranks,
+         report.delivery_issued) = _merge_deliveries(columns)
         for link in self.uplink:
             if link is not None:
                 # every reservation was made at or before `now`, so the busy
@@ -658,6 +683,26 @@ class Simulation:
                                               bytes=link.bytes,
                                               busy_seconds=busy))
         return report
+
+
+def _merge_deliveries(columns: list) -> tuple:
+    """The per-user delivery columns (completed, tick, rank, issued), each
+    user's rows in (completed, tick) order, merged into the columns
+    (completed, rank, issued) of all rows in (completed, tick) order. Ticks
+    are unique across users and heapq.merge is stable, so rows that share a
+    tick keep their order. The columns of the one user with deliveries are
+    taken as they are."""
+    filled = [cols for cols in columns if cols[0]]
+    if len(filled) == 1:
+        completed, _, ranks, issued = filled[0]
+        return completed, ranks, issued
+    completed, ranks, issued = array("d"), array("q"), array("d")
+    for t, _, rank, issue in merge(*(zip(*cols) for cols in filled),
+                                   key=itemgetter(0, 1)):
+        completed.append(t)
+        ranks.append(rank)
+        issued.append(issue)
+    return completed, ranks, issued
 
 
 def _nodes(users: int, caches: int) -> list:
@@ -835,6 +880,8 @@ def load_scenario(path: str, **overrides) -> ScenarioConfig:
     be changed afterwards, and dataclasses.replace makes a changed copy,
     which is checked again.
     """
+    import yaml  # only config files need it
+
     with open(path) as fh:
         try:
             raw = yaml.safe_load(fh)

@@ -15,8 +15,10 @@ import itertools
 from heapq import heappop, heappush
 
 from lacsim.metrics import LinkStats, MetricsReport, RunningStats
-from lacsim.netsim import (_COMPLETE, _DATA, _INTEREST, _REQUEST, Simulation,
+from lacsim.netsim import (_DATA, _INTEREST, _REQUEST, Simulation,
                            decide_insertion, next_interarrival, sample_rank)
+
+_COMPLETE = 3  # this loop's completion event; Simulation.run has none
 
 
 class _PitEntry:

@@ -169,13 +169,15 @@ def test_solve_tau_matches_plain_bisection_bit_for_bit():
         args = (x, rate, weights, mean_p)
         new, plain = _outcomes(*args)
         assert new == plain, args
-    # admission so close to zero that the bound is not used (1e-15), or
-    # that 1 - mean_p rounds to 1 and the bracket check fails (1e-17)
-    for mean_p in (1e-15, 1e-17):
-        args = (2.0, 0.5, zipf_weights(50, 0.9).weights, mean_p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new, plain = _outcomes(*args)
-        assert new == plain, args
+    # admission so close to zero that the bound is not used
+    args = (2.0, 0.5, zipf_weights(50, 0.9).weights, 1e-15)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new, plain = _outcomes(*args)
+    assert new == plain, args
+    # 1 - mean_p rounds to 1: rejected before the bisection, whose bracket
+    # check would fail
+    with pytest.raises(ValueError, match="mean_p"):
+        solve_tau(2.0, 0.5, zipf_weights(50, 0.9).weights, 1e-17)
 
 
 def test_solve_tau_evaluates_near_the_root(catalog, monkeypatch):

@@ -2,10 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import lacsim
 from lacsim.cli import main
 
 MINI_SCENARIO = {
@@ -188,6 +191,24 @@ def test_model_writes_curve_files(tmp_path):
     eta = (outdir / "model_eta.csv").read_text().splitlines()
     assert eta[0] == "mean_p,epsilon,eta_sym,eta_asym"
     assert len(eta) == 1 + 4
+
+
+def test_model_rejects_mean_p_that_vanishes_against_one(tmp_path, capsys):
+    # 1 - 1e-17 rounds to 1: one error line naming mean_p, no traceback
+    code = main(["model", "--mean-p", "1e-17", "--epsilon", "0.01",
+                 "--outdir", str(tmp_path / "model")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "mean_p" in err[0]
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    # only load_scenario reads YAML, so no workload pays for importing it
+    code = "import sys, lacsim.cli; sys.exit('yaml' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lacsim.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_compare_gate_passes_for_settled_lru(capsys):

@@ -358,7 +358,7 @@ def test_node_and_link_validation():
         NodeSpec(1, CACHE, cache_capacity_objects=-1)
 
     def topo(nodes, links):
-        Topology(nodes=nodes, links=links).validate()
+        Topology(nodes=nodes, links=links)
 
     u, c, r = (NodeSpec(1, USER), NodeSpec(2, CACHE, 4, "c"),
                NodeSpec(3, REPOSITORY))
@@ -692,6 +692,6 @@ def test_configs_are_frozen_values():
 
 def test_simulation_runs_no_scenario_check(monkeypatch):
     config = preset("single", policy="lac", requests_per_user=5)
-    monkeypatch.setattr(Topology, "validate",
+    monkeypatch.setattr(Topology, "__post_init__",
                         lambda self: pytest.fail("topology checked again"))
     assert Simulation(config).run().deliveries == 5

@@ -5,6 +5,7 @@ and invariants of generated tree topologies."""
 import dataclasses
 import random
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ def report_state(report) -> dict:
     state["cache_labels"] = list(report.rank_counters)
     state["user_requests"] = report.user_requests
     state.pop("_delivery_stats", None)
+    for name in ("delivery_ranks", "delivery_issued", "delivery_completed"):
+        state[name] = list(state[name])
     stats = report.delivery_stats
     state["delivery_stats"] = (stats.count, stats.mean, stats._m2)
     state["links"] = [vars(ls) for ls in report.links]
@@ -103,6 +106,27 @@ def test_tree_schedules_few_events_per_request(monkeypatch):
     PerPacketSimulation(config).run()
     assert trains == calls[0]
     assert pushes[0] <= 5 * report.user_requests
+
+
+def test_single_schedules_no_completion_events(monkeypatch):
+    # a delivery is recorded when its last packet is reserved, not popped
+    # as an event of its own; one completion event per delivery would make
+    # 3.38 pushes per request here
+    config = preset("single", policy="lac:5,5", seed=3, requests_per_user=2000)
+    pushes = [0]
+    push = netsim.heappush
+
+    def counting_push(heap, item):
+        pushes[0] += 1
+        push(heap, item)
+
+    monkeypatch.setattr(netsim, "heappush", counting_push)
+    report = Simulation(config).run()
+    assert report.deliveries == report.user_requests == 2000
+    assert pushes[0] <= 2.5 * report.user_requests
+    assert [(type(col), col.typecode) for col in (
+        report.delivery_ranks, report.delivery_issued,
+        report.delivery_completed)] == [(array, "q"), (array, "d"), (array, "d")]
 
 
 # ------------------------------------------------------------ generated trees
