@@ -19,13 +19,15 @@ node is holding the reassembled object at that moment).
 Links never need idle/busy events: a FIFO link is fully described by the
 time its output becomes free, so each transmission is scheduled
 arithmetically (start = max(now, busy_until)). Events are requests, interest
-arrivals, and the arrival of an object's last packet at each cache. A
-delivery to a user is not an event: it is recorded, with its arrival time,
-when its last packet is reserved on the user's link. The earlier packets of
-an object bound for a cache are not events: the ones one reservation sends
-down the link to that cache become one record, in a FIFO owned by that
-cache, and are applied just before the first event at that cache, or at a
-cache or user below it, that they precede (see Simulation.run). Every event
+arrivals, and the arrival of an object's last packet at each cache. Data
+moves by reservations, each a run of one object's packets sent down one
+link in order, and one rule says what a reservation becomes. On the link to
+a cache, the packets before the object's last become one record, in a FIFO
+owned by that cache, and are applied just before the first event at that
+cache, or at a cache or user below it, that they precede (see
+Simulation.run); the last packet becomes an event. On the link to a user,
+the last packet's arrival is the delivery: it is recorded, with its arrival
+time, when that packet is reserved, and is not an event. Every event
 and every record is keyed by (time, tick), with ticks drawn from one
 counter in scheduling order and a record's packets sharing the tick taken
 when it was made, so ties resolve deterministically: packets on one link in
@@ -179,6 +181,7 @@ class Topology:
         repo_id = repos[0].node_id
         if repo_id in parent:
             raise ConfigError("repository cannot have an upstream link")
+        has_children = set(parent.values())
         for n in self.nodes:
             if n.kind == REPOSITORY:
                 continue
@@ -194,8 +197,8 @@ class Topology:
             if n.kind == USER:
                 if nodes[parent[n.node_id]].kind != CACHE:
                     raise ConfigError(f"user {n.node_id} must attach to a cache")
-            if n.kind == USER and any(p == n.node_id for p in parent.values()):
-                raise ConfigError(f"user {n.node_id} cannot have children")
+                if n.node_id in has_children:
+                    raise ConfigError(f"user {n.node_id} cannot have children")
         object.__setattr__(self, "parent", parent)
 
 
@@ -256,6 +259,30 @@ class ScenarioConfig:
         if cap is not None and not (math.isfinite(cap) and cap > 0.0):
             raise ConfigError(f"max_sim_time_s must be positive and finite, "
                               f"got {cap!r}")
+        # No run goes past its requests' largest gaps, plus every packet of
+        # every request sent over every link, plus each propagation delay
+        # crossed by an interest and by data; reject a config whose bound
+        # is not finite. A gap is -ln(u) / rate with u >= 2**-53, and
+        # -ln(2**-53) < 36.74; an int past 1.8e308 overflows meeting a float.
+        users = sum(n.kind == USER for n in self.topology.nodes)
+        try:
+            latest = self.requests_per_user * 36.74 / self.request_rate
+            bits = users * self.requests_per_user * self.object_size_bytes * 8.0
+        except OverflowError:
+            latest = math.inf
+        if not math.isfinite(latest):
+            raise ConfigError(f"requests_per_user {self.requests_per_user!r} at "
+                              f"request_rate_per_user {self.request_rate!r} "
+                              f"lets the run's times overflow")
+        for ls in self.topology.links:
+            busy = bits / ls.capacity_bps
+            latest += busy + 2.0 * ls.prop_delay_s
+            if not math.isfinite(latest):
+                key = ("capacity_bps" if busy >= 2.0 * ls.prop_delay_s
+                       else "prop_delay_s")
+                raise ConfigError(f"link {ls.up}->{ls.down} {key} "
+                                  f"{getattr(ls, key)!r} lets the run's times "
+                                  f"overflow")
         # every default must make a valid policy, used or not
         for name in ("lcp", "lac"):
             self.resolve_policy(name)
@@ -380,12 +407,22 @@ class Simulation:
         streams keep the state the run left, so a second call raises
         RuntimeError.
 
+        Every packet is sent by reserve(face, rank, issues, departures,
+        last), which reserves on the link down to face the packets leaving
+        at departures, then the object's last packet leaving at last (None:
+        the run holds no last packet). It is called with a whole object
+        leaving at t for the repository's answer, a hit and a late copy
+        ((t,) * (ppo - 1), t); with the last packet alone for each face of
+        a _DATA event ((), t); and with a record's segment for each face of
+        a drain, which never holds the object's last packet (seg, None).
+
         Only the last packet of an object is a heap event at each cache. The
         earlier ones wait in a FIFO owned by the cache they are bound for, as
         records [rank, arrivals, tick, pos]: the arrival times that one
-        reservation made on the link to that cache (by send_object, or by
-        one drain for that face), one tick taken when the record is made,
-        and the index of the first packet not yet applied. Packets are
+        reserve call made on the link to that cache, one tick taken when the
+        record is made, before the tick of the _DATA event for the last
+        packet of the same call, and the index of the first packet not yet
+        applied. Packets are
         applied (counted, added to the pending entry's arrival_sum and
         forwarded on every face) when an event reaches that cache or a
         cache or user below it, root side first; and at the time cap, for
@@ -427,12 +464,12 @@ class Simulation:
         transmit_packet calls in the same order.
 
         A delivery is not an event: the last packet's arrival at a user is
-        known when it is reserved on the user's link (by send_object, or by
-        a _DATA event for a user face), and the delivery is recorded then,
-        as one row (arrival time, tick, rank, issue time) per issue in that
-        user's columns. The tick is drawn where the per-packet loop pushed a
-        completion event, which pushed, drew and drained nothing else, so
-        every other event and record keeps its tick. A user's link is a
+        known when reserve reserves it on the user's link, and the delivery
+        is recorded then, as one row (arrival time, tick, rank, issue time)
+        per issue in that user's columns. One tick is drawn per such
+        reservation, where the per-packet loop pushed a completion event,
+        which pushed, drew and drained nothing else, so every other event
+        and record keeps its tick. A user's link is a
         FIFO fed by its parent alone, and every reservation on it ends at
         max(now, busy_until) + tx, so its arrival times never decrease in
         reservation order: each user's rows are in (time, tick) order, the
@@ -495,33 +532,32 @@ class Simulation:
         # arrivals[pos:] are still to be applied
         queue = [deque() for _ in range(n_nodes)]
 
-        def deliver(user, arrival, rank, issues):
-            """Record the deliveries of rank to user at arrival."""
+        def reserve(face, rank, issues, departures, last):
+            """Reserve packets of rank on the link down to face, in order:
+            the ones leaving at departures, which are not the object's last,
+            then the object's last packet, leaving at last, unless last is
+            None. On a cache face (issues is None) the ones before the last
+            become one queue record, and the last one a _DATA event, in that
+            tick order. On a user face the last packet's arrival records one
+            delivery row per issue."""
+            transmit = uplink[face].transmit_packet
+            if departures:
+                sent = list(map(transmit, departures))
+                if issues is None:
+                    queue[face].append([rank, sent, next(tick), 0])
+            if last is None:
+                return
+            arrival = transmit(last)
+            if issues is None:
+                heappush(heap, (arrival, next(tick), _DATA, face, rank))
+                return
             k = next(tick)
-            add_completed, add_tick, add_rank, add_issued = appends[user]
+            add_completed, add_tick, add_rank, add_issued = appends[face]
             for issue in issues:
                 add_completed(arrival)
                 add_tick(k)
                 add_rank(rank)
                 add_issued(issue)
-
-        def send_object(face, rank, issues, t):
-            """Reserve one whole object on the link down to face at time t.
-            A user face has its deliveries recorded at the last packet's
-            arrival; a cache face (issues is None) gets the earlier packets
-            queued as one record and one _DATA for the last."""
-            link = uplink[face]
-            if issues is None:
-                if ppo > 1:
-                    sent = list(map(link.transmit_packet,
-                                    itertools.repeat(t, ppo - 1)))
-                    queue[face].append([rank, sent, next(tick), 0])
-                heappush(heap, (link.transmit_packet(t), next(tick), _DATA,
-                                face, rank))
-                return
-            for _ in range(ppo):
-                arr = link.transmit_packet(t)
-            deliver(face, arr, rank, issues)
 
         def drain(chain, t, tk):
             """Apply the queued packets whose key precedes (t, tk), cache by
@@ -544,10 +580,9 @@ class Simulation:
                     for a in seg:
                         total += a
                     e.arrival_sum = total
+                    # a record never holds its object's last packet
                     for f, issues in e.faces.items():
-                        sent = list(map(uplink[f].transmit_packet, seg))
-                        if issues is None:
-                            queue[f].append([rank, sent, next(tick), 0])
+                        reserve(f, rank, issues, seg, None)
                     if end < len(arrivals):
                         rec[3] = end
                         break
@@ -574,11 +609,7 @@ class Simulation:
                 e = pits[node].pop(rank)
                 e.arrival_sum += t
                 for f, issues in e.faces.items():
-                    arr = uplink[f].transmit_packet(t)
-                    if issues is None:
-                        heappush(heap, (arr, next(tick), _DATA, f, rank))
-                    else:
-                        deliver(f, arr, rank, issues)
+                    reserve(f, rank, issues, (), t)
                 est = estimators[node]
                 delta = est.measure_delta_t(rank, e.arrival_sum / ppo)
                 if capacity[node] > 0:
@@ -590,7 +621,7 @@ class Simulation:
                         stores[node].insert(rank, prob)
                         est.update(delta)
                 for f, issues in e.late.items():
-                    send_object(f, rank, issues, t)
+                    reserve(f, rank, issues, (t,) * (ppo - 1), t)
                 continue
 
             if kind == _INTEREST:
@@ -602,7 +633,7 @@ class Simulation:
                 issues = None if issue is None else [issue]
                 if node == repo:
                     repo_requests += 1
-                    send_object(frm, rank, issues, t)
+                    reserve(frm, rank, issues, (t,) * (ppo - 1), t)
                     continue
                 ent = rank_req[node].get(rank)
                 if ent is None:
@@ -615,7 +646,7 @@ class Simulation:
                     ent[1] += 1
                     if late_win:
                         ent[3] += 1
-                    send_object(frm, rank, issues, t)
+                    reserve(frm, rank, issues, (t,) * (ppo - 1), t)
                     continue
                 e = pits[node].get(rank)
                 if e is not None:

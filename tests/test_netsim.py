@@ -389,6 +389,9 @@ def test_node_and_link_validation():
     with pytest.raises(ConfigError):  # user with a child
         topo([u, c, r, NodeSpec(6, USER)],
              good_links + [LinkSpec(6, 1, 1e6)])
+    with pytest.raises(ConfigError, match="cannot have children"):
+        topo([u, c, r, NodeSpec(6, CACHE, 4)],
+             good_links + [LinkSpec(6, 1, 1e6)])
 
 
 @pytest.mark.parametrize("labels", [
@@ -541,6 +544,26 @@ def test_loader_rejects_non_finite_values(where, key, value):
         raw[where] = [dict(BASE_YAML[where][0], **{key: value})] + \
             BASE_YAML[where][1:]
     with pytest.raises(ConfigError):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("where,key,value,named", [
+    # a packet would take 8e4 / 1e-310 = inf s: the run would end at
+    # elapsed = inf with a user-link rho of nan
+    ("links", "capacity_bps", 1e-310, "link 2->1 capacity_bps"),
+    # crossed by an interest and by data, the delay would end the run at inf
+    ("links", "prop_delay_s", 1e308, "link 2->1 prop_delay_s"),
+    # 50 gaps of up to 36.74 / rate each
+    (None, "request_rate_per_user", 1e-307, "request_rate_per_user"),
+    (None, "requests_per_user", 10**400, "requests_per_user"),
+], ids=["capacity", "prop_delay", "rate", "requests"])
+def test_loader_rejects_runs_whose_times_overflow(where, key, value, named):
+    raw = dict(PRESETS["single"], requests_per_user=50)
+    if where is None:
+        raw[key] = value
+    else:
+        raw[where] = [dict(raw[where][0], **{key: value})] + raw[where][1:]
+    with pytest.raises(ConfigError, match=named):
         scenario_from_dict(raw)
 
 

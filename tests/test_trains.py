@@ -62,10 +62,13 @@ def test_mixed_faces_match_per_packet_loop():
 
 
 @pytest.mark.parametrize("name,cap", [("single", 300.0), ("line", 200.0),
-                                      ("tree", 40.0), ("mixed", 500.0)])
+                                      ("tree", 40.0), ("mixed", 500.0),
+                                      ("single", 296.25), ("tree", 70.0)])
 def test_capped_runs_match_per_packet_loop(name, cap):
     # the cap falls while trains are in flight, so queued packets that
-    # arrived by the cap must be applied and later ones must not
+    # arrived by the cap must be applied and later ones must not; at
+    # line 200 s, single 296.25 s and tree 70 s it also falls while a
+    # delivery is in flight, whose rows must be cut
     if name == "mixed":
         config = scenario_from_dict(MIXED_FACES)
     else:
