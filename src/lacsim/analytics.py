@@ -409,11 +409,12 @@ def rvrtt(rtts, miss_probs, start_hop: int) -> float:
 
 
 def fig1_grid(popularity, x: float, rate_lambda: float, mean_p_list,
-              max_rank: int = 0) -> list:
-    """Per-rank asymmetric miss probabilities over a grid of mean admission
-    probabilities. Returns rows (rank, mean_p, pi, tau_x)."""
+              max_rank: int) -> list:
+    """Per-rank asymmetric miss probabilities for ranks 1..max_rank (at most
+    the catalog) over a grid of mean admission probabilities. Returns rows
+    (rank, mean_p, pi, tau_x)."""
     weights = _weight_vector(popularity)
-    limit = weights.size if max_rank <= 0 else min(max_rank, weights.size)
+    limit = min(max_rank, weights.size)
     rows = []
     for mean_p in mean_p_list:
         sol = solve_tau(x, rate_lambda, weights, mean_p)

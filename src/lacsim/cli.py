@@ -90,6 +90,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_model(args) -> int:
+    if args.max_rank < 1:
+        raise ValueError(f"--max-rank must be >= 1, got {args.max_rank}")
     outdir = _outdir(args, "model")
     os.makedirs(outdir, exist_ok=True)
     probs = args.mean_p
@@ -280,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma separated policy specs")
     sweep.add_argument("--seeds", default="1-5",
                        help="e.g. 1-10 or 1,3,7")
-    sweep.add_argument("--horizon", type=int, default=200_000)
-    sweep.add_argument("--warmup", type=float, default=0.0)
+    sweep.add_argument("--horizon", type=int, default=None)
+    sweep.add_argument("--warmup", type=float, default=None)
     sweep.add_argument("--outdir", default="")
     sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -62,8 +62,9 @@ def run_summary(config: ScenarioConfig, cum_marks=()) -> RunSummary:
 
 
 def run_matrix(preset_name: str, policies, seeds, requests_per_user: int,
-               stats_warmup_s: float = 0.0, cum_marks=()):
-    """Run every (policy, seed) pair on one preset; returns RunSummary list."""
+               stats_warmup_s: float = None, cum_marks=()):
+    """Run every (policy, seed) pair on one preset; returns RunSummary list.
+    A requests_per_user or stats_warmup_s of None keeps the preset's."""
     out = []
     for policy in policies:
         for seed in seeds:

@@ -182,18 +182,20 @@ class Topology:
         if repo_id in parent:
             raise ConfigError("repository cannot have an upstream link")
         has_children = set(parent.values())
+        # the nodes whose path to the repository is checked: a walk stops at
+        # the first of them, so each node is walked over once
+        placed = {repo_id}
         for n in self.nodes:
-            if n.kind == REPOSITORY:
-                continue
             seen = set()
             cur = n.node_id
-            while cur != repo_id:
+            while cur not in placed:
                 if cur not in parent:
                     raise ConfigError(f"node {cur} cannot reach the repository")
                 if cur in seen:
                     raise ConfigError("topology contains a cycle")
                 seen.add(cur)
                 cur = parent[cur]
+            placed |= seen
             if n.kind == USER:
                 if nodes[parent[n.node_id]].kind != CACHE:
                     raise ConfigError(f"user {n.node_id} must attach to a cache")
@@ -373,16 +375,22 @@ class Simulation:
         self.repo = next(i for i, k in enumerate(self.kinds) if k == REPOSITORY)
 
         # upstream[i]: the caches on the path from the repository down to i
-        # (i included when it is a cache), root side first
-        def caches_above(i):
+        # (i included when it is a cache), root side first. It extends its
+        # parent's, so each walk up stops at the first node already filled
+        # and fills the nodes it passed, parents first.
+        upstream = [None] * len(nodes)
+        upstream[self.repo] = ()
+        for i in range(len(nodes)):
             path = []
-            while i != self.repo:
-                if self.kinds[i] == CACHE:
-                    path.append(i)
-                i = self.parent[i]
-            return tuple(reversed(path))
-
-        self.upstream = [caches_above(i) for i in range(len(nodes))]
+            top = i
+            while upstream[top] is None:
+                path.append(top)
+                top = self.parent[top]
+            for j in reversed(path):
+                upstream[j] = (upstream[top] + (j,) if self.kinds[j] == CACHE
+                               else upstream[top])
+                top = j
+        self.upstream = upstream
 
         self.policy = [None] * len(nodes)
         self.store = [None] * len(nodes)
@@ -396,8 +404,11 @@ class Simulation:
             self.estimator[i] = LatencyEstimator()
             self.pit[i] = {}
             self.rng[i] = DrawBuffer(make_stream(config.seed, spec.node_id))
+        # a cache draws its coins one at a time through a DrawBuffer; a user
+        # draws its requests in blocks straight from its generator (see
+        # request_draws)
         for i in self.users:
-            self.rng[i] = DrawBuffer(make_stream(config.seed, nodes[i].node_id))
+            self.rng[i] = make_stream(config.seed, nodes[i].node_id)
         self._ran = False
 
     def run(self) -> MetricsReport:

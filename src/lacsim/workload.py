@@ -10,18 +10,21 @@ request k < q the gap to request k + 1 followed by the rank of request k, and
 for request q its rank alone. A gap rejects a uniform of exactly 0.0 and
 draws again, so a rejection shifts every later draw by one uniform.
 
-request_draws serves that sequence in blocks of REQUEST_BLOCK requests: it
-takes the block's uniforms from the user's DrawBuffer at once, ranks them
-with one searchsorted call and turns the gap slots into gaps one at a time
-with math.log, so every value equals the one the scalar functions
-(next_interarrival, sample_rank) give. A block holding a 0.0 in a gap slot
-is drawn again through the scalar functions instead.
+request_draws serves that sequence in blocks of REQUEST_BLOCK requests. A
+block of n requests that each have a next one reads its 2n uniforms with one
+gen.random(2 * n) call on the user's own generator; Philox is counter-based,
+so that call returns the values that 2n scalar gen.random() calls would. A
+0.0 in a gap slot is rejected in the block: that uniform is deleted, one
+fresh gen.random(1) is appended at the end, and the gap slots are checked
+again. The block's rank slots are then ranked with one searchsorted call and
+its gap slots turned into gaps one at a time with math.log, so every value
+equals the one the scalar functions (next_interarrival, sample_rank) give.
+The last request's rank is drawn with sample_rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from math import log
 
 import numpy as np
@@ -46,8 +49,6 @@ class PopularityModel:
     inverse-CDF sampling; its last entry is pinned to exactly 1.0.
     """
 
-    alpha: float
-    catalog_size: int
     weights: np.ndarray
     norm_c: float
     cumulative: np.ndarray = field(repr=False)
@@ -69,13 +70,7 @@ def zipf_weights(catalog_size: int, alpha: float) -> PopularityModel:
     weights = raw * norm_c
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0  # guard against cumsum rounding below a late uniform draw
-    return PopularityModel(
-        alpha=float(alpha),
-        catalog_size=int(catalog_size),
-        weights=weights,
-        norm_c=norm_c,
-        cumulative=cumulative,
-    )
+    return PopularityModel(weights=weights, norm_c=norm_c, cumulative=cumulative)
 
 
 def sample_rank(model: PopularityModel, rng) -> int:
@@ -105,53 +100,29 @@ def next_interarrival(rate: float, rng) -> float:
 REQUEST_BLOCK = 4096  # requests per block of request_draws
 
 
-def request_draws(model: PopularityModel, rate: float, rng: DrawBuffer,
+def request_draws(model: PopularityModel, rate: float, gen: np.random.Generator,
                   quota: int):
     """Iterator of (gap, rank) for requests 1..quota of one user: the gap
     to the next request (None after the last) and the request's rank.
 
-    The gap to the first request is not part of it: the caller draws that
-    with next_interarrival first. The pairs follow the draw order in the
-    module docstring exactly; at most REQUEST_BLOCK of them are held at a
-    time.
+    gen is the user's generator. The gap to the first request is not part
+    of it: the caller draws that with next_interarrival first. The pairs
+    follow the draw order in the module docstring exactly; at most
+    REQUEST_BLOCK of them are held at a time.
     """
-    return chain.from_iterable(_request_blocks(model, rate, rng, quota))
-
-
-def _request_blocks(model, rate, rng, quota):
     left = quota - 1
     while left > 0:
         n = min(left, REQUEST_BLOCK)
         left -= n
-        yield _request_block(model, rate, rng, n)
-    yield ((None, sample_rank(model, rng)),)
-
-
-def _request_block(model, rate, rng, n):
-    """(gap, rank) of n requests that each have a next one. Its own
-    function, so that the block's uniforms are freed once the pairs are
-    built, not held while the run reads them."""
-    u = rng.take(2 * n)
-    gap_u = u[0::2]
-    if gap_u.all():
-        gaps = [-log(v) / rate for v in gap_u.tolist()]
+        u = gen.random(2 * n)
+        while not u[0::2].all():
+            # reject the first zero gap uniform: the rest of the block
+            # shifts by one, and one fresh uniform ends it
+            u = np.append(np.delete(u, 2 * u[0::2].argmin()), gen.random(1))
+        gaps = [-log(v) / rate for v in u[0::2].tolist()]
         ranks = model.cumulative.searchsorted(u[1::2], side="right") + 1
-        return zip(gaps, ranks.tolist())
-    # a rejected gap shifts the rest of the block by one uniform: replay
-    # the block's uniforms through the scalar functions, then continue
-    # from the stream
-    replay = _Replay(chain(u.tolist(), iter(rng.random, None)))
-    return [(next_interarrival(rate, replay), sample_rank(model, replay))
-            for _ in range(n)]
-
-
-class _Replay:
-    """An rng whose .random() is the next value of an iterator."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, values):
-        self.random = values.__next__
+        yield from zip(gaps, ranks.tolist())
+    yield None, sample_rank(model, gen)
 
 
 def make_stream(scenario_seed: int, stream_id: int) -> np.random.Generator:
@@ -187,13 +158,3 @@ class DrawBuffer:
         v = self._buf[self._pos]
         self._pos += 1
         return v
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n uniforms as a float64 array: what is left of the
-        buffer first, then fresh draws from the generator."""
-        head = self._buf[self._pos:self._pos + n]
-        self._pos += n
-        if self._pos >= len(self._buf):
-            # free the used-up list now, not at the next random() call
-            self._buf, self._pos = [], 0
-        return np.concatenate((head, self._gen.random(n - len(head))))

@@ -193,6 +193,18 @@ def test_model_writes_curve_files(tmp_path):
     assert len(eta) == 1 + 4
 
 
+@pytest.mark.parametrize("max_rank", ["0", "-3"])
+def test_model_rejects_max_rank_below_one(max_rank, tmp_path, capsys):
+    # a curve over no ranks is a usage error, not an empty model_sym.csv
+    outdir = tmp_path / "model"
+    code = main(["model", "--max-rank", max_rank, "--outdir", str(outdir)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "--max-rank" in err[0]
+    assert not outdir.exists()
+
+
 def test_model_rejects_mean_p_that_vanishes_against_one(tmp_path, capsys):
     # 1 - 1e-17 rounds to 1: one error line naming mean_p, no traceback
     code = main(["model", "--mean-p", "1e-17", "--epsilon", "0.01",

@@ -32,9 +32,12 @@ class FixedRng:
 
 
 class FixedDraws(FixedRng):
-    """FixedRng that also serves DrawBuffer.take."""
+    """FixedRng that also serves random(n), a float64 array of the next n
+    uniforms, as np.random.Generator does."""
 
-    def take(self, n):
+    def random(self, n=None):
+        if n is None:
+            return super().random()
         head, self.values = self.values[:n], self.values[n:]
         return np.array(head, dtype=np.float64)
 
@@ -157,20 +160,6 @@ def test_draw_buffer_matches_scalar_generator():
     assert [buf.random() for _ in range(n)] == [ref.random() for _ in range(n)]
 
 
-def test_draw_buffer_take_interleaved_with_random():
-    buf = DrawBuffer(make_stream(11, 2))
-    got = []
-    # a take inside the buffer, one that ends exactly at its end, one that
-    # runs past it, a take of nothing, and takes larger than a whole buffer
-    for n in (3, DrawBuffer._BLOCK - 4, 0, 5000, 7, 3 * DrawBuffer._BLOCK):
-        got.append(buf.random())
-        taken = buf.take(n)
-        assert taken.dtype == np.float64 and taken.shape == (n,)
-        got.extend(taken.tolist())
-    got.append(buf.random())
-    assert got == make_stream(11, 2).random(len(got)).tolist()
-
-
 def scalar_requests(model, rate, rng, quota):
     """The first gap, then (gap to the next request or None, rank) per
     request, drawn one call at a time."""
@@ -191,8 +180,8 @@ def block_requests(model, rate, rng, quota):
                                    REQUEST_BLOCK + 2, 3 * REQUEST_BLOCK + 17])
 def test_request_draws_match_scalar_draws(quota):
     model = zipf_weights(20_000, 1.7)
-    scalar_rng = DrawBuffer(make_stream(3, 1))
-    block_rng = DrawBuffer(make_stream(3, 1))
+    scalar_rng = make_stream(3, 1)
+    block_rng = make_stream(3, 1)
     expected = scalar_requests(model, 0.7, scalar_rng, quota)
     assert block_requests(model, 0.7, block_rng, quota) == expected
     assert all(isinstance(rank, int) for _, rank in expected[1])
