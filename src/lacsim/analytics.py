@@ -15,14 +15,13 @@ the simulator:
   symmetric   the same coin also gates the hit-time refresh. For Zipf
               exponents alpha > 1 the steady-state miss probability has a
               closed form independent of mean_p (miss_sym); the admission
-              probability only rescales the time constant (tau_sym).
+              probability only rescales the time constant.
 
 miss_mixture keeps the exact mixture form over a discrete distribution of
 admission probabilities; by convexity it upper-bounds miss_asym evaluated at
 the mean (Jensen), which is what makes the mean-field form usable.
 
-All formulas clamp results to [0, 1]; clamping is counted, never silent
-(clamp_events / reset_clamp_events).
+All formulas clamp results to [0, 1].
 
 solve_tau bisects g(tau) = occupancy - x and uses only its sign. A Newton
 iteration in ln tau estimates the root, and g is evaluated exactly at the
@@ -59,15 +58,11 @@ __all__ = [
     "miss_mixture",
     "solve_tau",
     "miss_sym",
-    "tau_sym",
     "eta_sym",
     "eta_asym",
     "vrtt",
-    "rvrtt",
     "fig1_grid",
     "write_model_curves",
-    "clamp_events",
-    "reset_clamp_events",
 ]
 
 TAU_ABS_TOL = 1e-9
@@ -79,32 +74,14 @@ _NEWTON_MAX_ITER = 40
 _NEWTON_MAX_STEP = 8.0   # largest change of ln tau in one Newton step
 _BAND_MARGIN = 4.0       # band half-width in units of floor / slope
 
-_clamp_count = 0
-
-
-def clamp_events() -> int:
-    """Number of results clamped into [0, 1] since the last reset."""
-    return _clamp_count
-
-
-def reset_clamp_events():
-    global _clamp_count
-    _clamp_count = 0
-
-
 def _clamp01(value):
-    global _clamp_count
     if isinstance(value, np.ndarray):
-        bad = int(np.count_nonzero((value < 0.0) | (value > 1.0)))
-        if bad:
-            _clamp_count += bad
+        if np.any((value < 0.0) | (value > 1.0)):
             value = np.clip(value, 0.0, 1.0)
         return value
     if value < 0.0:
-        _clamp_count += 1
         return 0.0
     if value > 1.0:
-        _clamp_count += 1
         return 1.0
     return value
 
@@ -323,21 +300,12 @@ def miss_sym(k, x: float, alpha: float):
     """Steady-state miss probability of the symmetric discipline at rank k
     for a cache of x objects under Zipf(alpha), alpha > 1.
 
-    Independent of the admission probability: the coin rescales time (see
-    tau_sym) but not the stationary ordering.
+    Independent of the admission probability: the coin rescales time but
+    not the stationary ordering.
     """
     g = _gamma_tail(alpha)
     k = np.asarray(k, dtype=np.float64)
     return _clamp01(np.exp(-(x ** alpha) / (k ** alpha) / (g ** alpha)))
-
-
-def tau_sym(x: float, rate_lambda: float, norm_c: float, mean_p: float, alpha: float) -> float:
-    """Characteristic time of the symmetric discipline (continuous-catalog
-    approximation): x**alpha / (lambda c mean_p Gamma(1 - 1/alpha)**alpha)."""
-    g = _gamma_tail(alpha)
-    if not 0.0 < mean_p <= 1.0:
-        raise ValueError(f"mean_p must lie in (0, 1], got {mean_p!r}")
-    return (x ** alpha) / (rate_lambda * norm_c * mean_p * g ** alpha)
 
 
 def eta_sym(x: float, alpha: float, eps: float) -> float:
@@ -388,24 +356,6 @@ def vrtt(rtts, miss_probs) -> float:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"hop weights sum to {total!r}; the path must end in a sure hit")
     return math.fsum(r * w for r, w in zip(rtts, weights))
-
-
-def rvrtt(rtts, miss_probs, start_hop: int) -> float:
-    """vrtt restricted to hops at or beyond start_hop (1-based).
-
-    Upstream miss products still include every hop before start_hop, so this
-    is the expected contribution of the path tail, not a renormalized mean.
-    """
-    if not 1 <= start_hop <= len(rtts):
-        raise ValueError(f"start_hop must lie in [1, {len(rtts)}], got {start_hop!r}")
-    vrtt(rtts, miss_probs)  # validate the full path
-    acc = 0.0
-    carry = 1.0
-    for i, (r, p) in enumerate(zip(rtts, miss_probs), start=1):
-        if i >= start_hop:
-            acc += r * carry * (1.0 - p)
-        carry *= p
-    return acc
 
 
 def fig1_grid(popularity, x: float, rate_lambda: float, mean_p_list,

@@ -92,29 +92,34 @@ def cmd_sim(args) -> int:
 def cmd_model(args) -> int:
     if args.max_rank < 1:
         raise ValueError(f"--max-rank must be >= 1, got {args.max_rank}")
-    outdir = _outdir(args, "model")
-    os.makedirs(outdir, exist_ok=True)
+    # every row is built before the output directory is made, so a bad
+    # input writes nothing
     probs = args.mean_p
     popularity = zipf_weights(args.catalog, args.alpha)
-    curves = os.path.join(outdir, "model_curves.csv")
     rows = fig1_grid(popularity, args.x, args.rate, probs,
                      max_rank=args.max_rank)
+    sym_lines = [f"{k},{miss_sym(k, args.x, args.alpha):.9f}\n"
+                 for k in range(1, min(args.max_rank, args.catalog) + 1)]
+    eta_lines = []
+    for p in probs:
+        tau = solve_tau(args.x, args.rate, popularity, mean_p=p).tau
+        for eps in args.epsilon:
+            e_s = eta_sym(args.x, args.alpha, eps)
+            e_a = eta_asym(args.rate, popularity.norm_c, tau, p, eps,
+                           args.alpha)
+            eta_lines.append(f"{p:.9f},{eps:.9f},{e_s:.9f},{e_a:.9f}\n")
+    outdir = _outdir(args, "model")
+    os.makedirs(outdir, exist_ok=True)
+    curves = os.path.join(outdir, "model_curves.csv")
     write_model_curves(curves, rows)
     sym_path = os.path.join(outdir, "model_sym.csv")
     with open(sym_path, "w") as fh:
         fh.write("rank,pi_sym\n")
-        for k in range(1, args.max_rank + 1):
-            fh.write(f"{k},{miss_sym(k, args.x, args.alpha):.9f}\n")
+        fh.writelines(sym_lines)
     eta_path = os.path.join(outdir, "model_eta.csv")
     with open(eta_path, "w") as fh:
         fh.write("mean_p,epsilon,eta_sym,eta_asym\n")
-        for p in probs:
-            tau = solve_tau(args.x, args.rate, popularity, mean_p=p).tau
-            for eps in args.epsilon:
-                e_s = eta_sym(args.x, args.alpha, eps)
-                e_a = eta_asym(args.rate, popularity.norm_c, tau, p, eps,
-                               args.alpha)
-                fh.write(f"{p:.9f},{eps:.9f},{e_s:.9f},{e_a:.9f}\n")
+        fh.writelines(eta_lines)
     print(f"wrote {curves}")
     print(f"wrote {sym_path}")
     print(f"wrote {eta_path}")

@@ -112,7 +112,6 @@ class NodeSpec:
     kind: str
     cache_capacity_objects: int = 0
     label: str = ""
-    policy: InsertionPolicy = None
 
     def __post_init__(self):
         if self.kind not in (USER, CACHE, REPOSITORY):
@@ -392,14 +391,12 @@ class Simulation:
                 top = j
         self.upstream = upstream
 
-        self.policy = [None] * len(nodes)
         self.store = [None] * len(nodes)
         self.estimator = [None] * len(nodes)
         self.pit = [None] * len(nodes)
         self.rng = [None] * len(nodes)
         for i in self.caches:
             spec = nodes[i]
-            self.policy[i] = spec.policy if spec.policy is not None else config.policy
             self.store[i] = LruCache(spec.cache_capacity_objects)
             self.estimator[i] = LatencyEstimator()
             self.pit[i] = {}
@@ -503,7 +500,7 @@ class Simulation:
         parent = self.parent
         uplink = self.uplink
         capacity = self.capacity
-        policies = self.policy
+        policy = cfg.policy
         stores = self.store
         estimators = self.estimator
         pits = self.pit
@@ -624,7 +621,7 @@ class Simulation:
                 est = estimators[node]
                 delta = est.measure_delta_t(rank, e.arrival_sum / ppo)
                 if capacity[node] > 0:
-                    dec, prob = decide_insertion(policies[node], delta, est,
+                    dec, prob = decide_insertion(policy, delta, est,
                                                  rngs[node])
                     dec_count[node] += 1
                     dec_prob_sum[node] += prob
@@ -653,7 +650,7 @@ class Simulation:
                 late_win = t >= warmup
                 if late_win:
                     ent[2] += 1
-                if stores[node].lookup(rank, policies[node], rngs[node]):
+                if stores[node].lookup(rank, policy, rngs[node]):
                     ent[1] += 1
                     if late_win:
                         ent[3] += 1
@@ -841,7 +838,7 @@ _SCALAR_KEYS = {
     "name": ("name", lambda key, value: str(value)),
 }
 _SCENARIO_KEYS = {"policy", "policy_defaults", "nodes", "links", *_SCALAR_KEYS}
-_NODE_KEYS = {"id", "kind", "cache_capacity_objects", "label", "policy"}
+_NODE_KEYS = {"id", "kind", "cache_capacity_objects", "label"}
 _LINK_KEYS = {"down", "up", "capacity_bps", "prop_delay_s"}
 
 
@@ -867,14 +864,12 @@ def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
             unknown = set(nd) - _NODE_KEYS
             if unknown:
                 raise ConfigError(f"unknown node keys: {sorted(unknown)}")
-            policy = nd.get("policy")
             nodes.append(NodeSpec(
                 node_id=_integer("id", nd["id"]),
                 kind=str(nd["kind"]),
                 cache_capacity_objects=_integer(
                     "cache_capacity_objects", nd.get("cache_capacity_objects", 0)),
                 label=str(nd.get("label", "")),
-                policy=None if policy is None else _resolve_policy(policy, defaults),
             ))
         links = []
         for ld in raw.get("links", []):
@@ -905,15 +900,16 @@ def load_scenario(path: str, **overrides) -> ScenarioConfig:
     Required top-level keys: catalog_size, zipf_alpha, request_rate_per_user,
     object_size_bytes, packet_size_bytes, requests_per_user, nodes, links.
     Optional ones, which default to the ScenarioConfig fields: seed, policy,
-    policy_defaults, stats_warmup_s, max_sim_time_s, name. Node entries
-    carry {id, kind: user|cache|repository, cache_capacity_objects, label,
-    policy}; link entries {down, up, capacity_bps, prop_delay_s} with down
-    the user-side endpoint. Counts and ids must be whole numbers. PRESETS
+    policy_defaults, stats_warmup_s, max_sim_time_s, name. policy is the
+    one insertion policy of every cache. Node entries carry {id, kind:
+    user|cache|repository, cache_capacity_objects, label}; link entries
+    {down, up, capacity_bps, prop_delay_s} with down the user-side
+    endpoint. Counts and ids must be whole numbers. PRESETS
     holds complete examples.
 
     policy_defaults is a mapping {lcp_p, lac_beta, lac_gamma} of the
-    parse_policy keywords that a policy string without parameters takes,
-    top-level and per node; a key left out keeps parse_policy's default.
+    parse_policy keywords that a policy string without parameters takes; a
+    key left out keeps parse_policy's default.
     The config holds it as sorted (key, value) pairs. A number may also be
     given as a string that int() or float() reads (PyYAML reads 30e3 as
     one); any other string is a ConfigError.

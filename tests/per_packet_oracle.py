@@ -56,7 +56,7 @@ class PerPacketSimulation(Simulation):
         parent = self.parent
         uplink = self.uplink
         capacity = self.capacity
-        policies = self.policy
+        policy = cfg.policy
         stores = self.store
         estimators = self.estimator
         pits = self.pit
@@ -127,7 +127,7 @@ class PerPacketSimulation(Simulation):
                     est = estimators[node]
                     delta = est.measure_delta_t(rank, e.arrival_sum / ppo)
                     if capacity[node] > 0:
-                        dec, prob = decide_insertion(policies[node], delta, est,
+                        dec, prob = decide_insertion(policy, delta, est,
                                                      rngs[node])
                         dec_count[node] += 1
                         dec_prob_sum[node] += prob
@@ -157,7 +157,7 @@ class PerPacketSimulation(Simulation):
                 late_win = t >= warmup
                 if late_win:
                     ent[2] += 1
-                if stores[node].lookup(rank, policies[node], rngs[node]):
+                if stores[node].lookup(rank, policy, rngs[node]):
                     ent[1] += 1
                     if late_win:
                         ent[3] += 1

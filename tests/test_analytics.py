@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lacsim import analytics
-from lacsim.analytics import (CheSolution, clamp_events, eta_asym, eta_sym,
-                              fig1_grid, miss_asym, miss_mixture, miss_sym,
-                              reset_clamp_events, rvrtt, solve_tau, tau_sym,
+from lacsim.analytics import (CheSolution, eta_asym, eta_sym, fig1_grid,
+                              miss_asym, miss_mixture, miss_sym, solve_tau,
                               vrtt, write_model_curves)
 from lacsim.workload import zipf_weights
 
@@ -27,10 +26,8 @@ TAU_P01 = 112.010011009         # mean_p = 0.1
 MISS_P01 = 0.1871955128
 PI4_P01 = 0.0541417110942       # per-rank spot values at mean_p = 0.1
 PI5_P01 = 0.230598800261
-S_TRUNC = 2.05289504379949150   # sum k**-1.7 up to 20000
 
 MISS_SYM_1_8_17 = 9.05182810987e-05
-TAU_SYM_P01 = 191.123681277477
 ETA_SYM_8_2 = 2.10325634846443  # x=8, alpha=2, eps=0.01
 
 
@@ -90,10 +87,9 @@ def test_solve_tau_reproduces_pinned_bits(catalog):
             (tau, residual, iterations)
 
 
-def plain_solve_tau(x, rate_lambda, weights, mean_p, clamps):
+def plain_solve_tau(x, rate_lambda, weights, mean_p):
     """solve_tau as a plain bisection that evaluates g at every point: the
-    reference solve_tau must match bit for bit. Appends the number of
-    clamped miss values to clamps."""
+    reference solve_tau must match bit for bit."""
     lam = rate_lambda * weights
     e, miss = np.empty_like(lam), np.empty_like(lam)
 
@@ -105,7 +101,6 @@ def plain_solve_tau(x, rate_lambda, weights, mean_p, clamps):
         np.multiply(miss, 1.0 - mean_p, out=miss)
         np.subtract(1.0, miss, out=miss)
         np.divide(e, miss, out=miss)
-        clamps.append(int(np.count_nonzero((miss < 0.0) | (miss > 1.0))))
         hit = np.subtract(1.0, np.clip(miss, 0.0, 1.0))
         return float(np.sum(hit)) - x
 
@@ -144,12 +139,8 @@ def _result(solve, *args):
 
 
 def _outcomes(*args):
-    """(result or error, clamp count) of solve_tau and of plain_solve_tau."""
-    reset_clamp_events()
-    new = _result(solve_tau, *args), clamp_events()
-    clamps = []
-    plain = _result(plain_solve_tau, *args, clamps), sum(clamps)
-    return new, plain
+    """The result or error of solve_tau and of plain_solve_tau."""
+    return _result(solve_tau, *args), _result(plain_solve_tau, *args)
 
 
 def test_solve_tau_matches_plain_bisection_bit_for_bit():
@@ -290,17 +281,6 @@ def test_miss_sym_monotone_in_rank():
     assert all(a <= b for a, b in zip(curve, curve[1:]))
 
 
-def test_tau_sym_frozen():
-    c = 1.0 / S_TRUNC
-    assert tau_sym(8.0, 1.0, c, 0.1, 1.7) == pytest.approx(TAU_SYM_P01,
-                                                           rel=1e-9)
-    # halving the admission probability doubles the time constant
-    assert tau_sym(8.0, 1.0, c, 0.05, 1.7) == pytest.approx(
-        2.0 * TAU_SYM_P01, rel=1e-12)
-    with pytest.raises(ValueError):
-        tau_sym(8.0, 1.0, c, 0.0, 1.7)
-
-
 def test_eta_sym_frozen():
     assert eta_sym(8.0, 2.0, 0.01) == pytest.approx(ETA_SYM_8_2, rel=1e-10)
     for eps in (0.0, 1.0, 2.0):
@@ -346,19 +326,6 @@ def test_vrtt_requires_terminal_hit():
         vrtt([1.0, 2.0], [1.5, 0.0])
 
 
-def test_rvrtt_slices():
-    rtts = [1.0, 2.0, 4.0]
-    misses = [0.5, 0.25, 0.0]
-    assert rvrtt(rtts, misses, 1) == pytest.approx(vrtt(rtts, misses))
-    # from hop 2: skip the first-hop hit mass, keep its miss in the carry
-    expect = 2.0 * 0.5 * 0.75 + 4.0 * 0.5 * 0.25 * 1.0
-    assert rvrtt(rtts, misses, 2) == pytest.approx(expect)
-    assert rvrtt(rtts, misses, 3) == pytest.approx(4.0 * 0.5 * 0.25)
-    for bad in (0, 4):
-        with pytest.raises(ValueError):
-            rvrtt(rtts, misses, bad)
-
-
 def test_fig1_grid_structure(catalog):
     rows = fig1_grid(catalog, 8.0, 1.0, [1.0, 0.1, 0.05, 0.02], max_rank=10)
     assert len(rows) == 40
@@ -397,16 +364,13 @@ def test_model_curves_csv(tmp_path, catalog):
     assert float(first[1]) == 1.0
 
 
-def test_clamp_counter():
-    reset_clamp_events()
-    assert clamp_events() == 0
+def test_miss_asym_clamps_to_unit_interval():
     # a negative rate drives miss_asym above one, for scalars and arrays
     assert miss_asym(-1.0, 2.0, 0.5) == 1.0
-    assert clamp_events() == 1
     assert miss_asym(np.array([-1.0, 1.0, -2.0]), 2.0, 0.5).tolist()[::2] == [1.0, 1.0]
-    assert clamp_events() == 3
-    reset_clamp_events()
-    assert clamp_events() == 0
+    # an array already in [0, 1] is returned as it is, not copied
+    inside = np.array([0.0, 0.5, 1.0])
+    assert analytics._clamp01(inside) is inside
 
 
 @given(lam=st.floats(0.001, 10.0), tau=st.floats(0.001, 100.0),

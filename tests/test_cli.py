@@ -1,7 +1,9 @@
 """Command line behavior: flags, exit codes, output files."""
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -212,6 +214,42 @@ def test_model_rejects_mean_p_that_vanishes_against_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "mean_p" in err[0]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--alpha", "0.8"], "alpha"), (["--epsilon", "1.5"], "eps"),
+])
+def test_model_bad_input_writes_nothing(flags, message, tmp_path, capsys):
+    # every row is computed before any file is written
+    outdir = tmp_path / "model"
+    code = main(["model", "--catalog", "10", "--max-rank", "5", *flags,
+                 "--outdir", str(outdir)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not outdir.exists()
+
+
+def test_model_sym_stops_at_the_catalog(tmp_path):
+    # like model_curves.csv, model_sym.csv holds only ranks that exist
+    outdir = tmp_path / "model"
+    code = main(["model", "--catalog", "10", "--max-rank", "100",
+                 "--mean-p", "1.0", "--outdir", str(outdir)])
+    assert code == 0
+    sym = (outdir / "model_sym.csv").read_text().splitlines()
+    assert len(sym) == 11 and sym[-1].startswith("10,")
+    curves = (outdir / "model_curves.csv").read_text().splitlines()
+    assert len(curves) == 11
+
+
+def test_every_export_exists():
+    # a name left in __all__ after its definition is deleted breaks
+    # `from module import *`
+    for info in pkgutil.iter_modules(lacsim.__path__):
+        module = importlib.import_module(f"lacsim.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
 
 
 def test_importing_the_cli_leaves_yaml_unloaded():

@@ -494,14 +494,14 @@ def test_yaml_round_trip(tmp_path):
     assert "edge" in report.rank_counters
 
 
-def test_per_node_policy_override():
+def test_loader_rejects_a_node_policy():
+    # a run has one insertion policy, the top-level one: a node key would
+    # leave the report's label, compare and calibration describing another
     raw = dict(BASE_YAML)
     raw["nodes"] = [dict(n) for n in BASE_YAML["nodes"]]
-    raw["nodes"][1]["policy"] = "lcp:0.5"
-    config = scenario_from_dict(raw)
-    report = Simulation(config).run()
-    # FixedProb always reports its own p, so the mean pins the override
-    assert report.mean_decision_prob("edge") == pytest.approx(0.5)
+    raw["nodes"][1]["policy"] = "lru"
+    with pytest.raises(ConfigError, match="unknown node keys.*policy"):
+        scenario_from_dict(raw)
 
 
 def test_policy_defaults_block():
