@@ -7,10 +7,12 @@ records. The run's CSV bundle is written here, so its schema stays in one
 place: four files (miss_prob, delivery, links, summary), each versioned
 with a header comment naming the schema and the scenario seed, columns in a
 fixed order, floats printed with nine decimals, newline-terminated. A given
-config and seed reproduces the files byte for byte. The other CSV files are
-written elsewhere: model_curves.csv by analytics.write_model_curves,
-model_sym.csv and model_eta.csv by cli, and each sweep.csv row by
-harness.RunSummary.csv_row.
+config and seed reproduces the files byte for byte. delivery.csv's running
+mean and stddev come from the same Welford pass that gives the report's
+delivery statistics, and its rows are written a block at a time. The other
+CSV files are written elsewhere: model_curves.csv by
+analytics.write_model_curves, model_sym.csv and model_eta.csv by cli, and
+each sweep.csv row by harness.RunSummary.csv_row.
 """
 
 from __future__ import annotations
@@ -31,22 +33,21 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+DELIVERY_BLOCK = 2048  # delivery.csv rows per write, about 100 KB of text
+_DELIVERY_ROW = "%d,%d,%.9f,%.9f,%.9f\n"
+
 
 class RunningStats:
-    """Numerically stable one-pass mean and population stddev (Welford)."""
+    """Count, mean and population stddev of a series, as one Welford pass
+    (MetricsReport._welford) leaves them; _m2 is the sum of squared
+    deviations from the mean."""
 
     __slots__ = ("count", "mean", "_m2")
 
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float):
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
+    def __init__(self, count: int, mean: float, m2: float):
+        self.count = count
+        self.mean = mean
+        self._m2 = m2
 
     @property
     def stddev(self) -> float:
@@ -95,11 +96,11 @@ class MetricsReport:
     column-wise in completion order, in typed arrays: delivery_ranks of
     typecode "q", delivery_issued and delivery_completed of typecode "d",
     8 bytes per delivery each. The delivery statistics are derived from the
-    delivery_issued and delivery_completed columns: delivery_stats adds each
-    duration completed - issued to a RunningStats in completion order, once
-    per report, on first use or in export_csv's cumulative pass, whichever
-    comes first. The cumulative mean at any completion index (cum_mean_at)
-    is rebuilt from the columns with the same accumulator.
+    delivery_issued and delivery_completed columns by one Welford pass
+    (_welford) over the durations completed - issued in completion order.
+    delivery_stats keeps the pass's RunningStats, made once per report, on
+    first use or by export_csv's pass that writes delivery.csv, whichever
+    comes first. cum_mean_at runs the same pass over a prefix.
     """
 
     policy_label: str
@@ -138,12 +139,39 @@ class MetricsReport:
         """Mean and stddev of every delivery's duration, accumulated in
         completion order on first use."""
         if self._delivery_stats is None:
-            acc = RunningStats()
-            for issued, completed in zip(self.delivery_issued,
-                                         self.delivery_completed):
-                acc.add(completed - issued)
-            self._delivery_stats = acc
+            self._delivery_stats = self._welford(self.deliveries)
         return self._delivery_stats
+
+    def _welford(self, count: int, fh=None) -> RunningStats:
+        """Welford's recurrence over the first count delivery durations, in
+        completion order. With fh, also write each delivery's delivery.csv
+        row: its completion seq, rank and duration, and the running mean and
+        stddev after it. A row's five fields go into one flat list, which is
+        written DELIVERY_BLOCK rows at a time with one %-format; %.9f prints
+        the bytes that an f-string's :.9f does."""
+        n = 0
+        mean = m2 = 0.0
+        fields = []
+        put = fields.extend
+        block = _DELIVERY_ROW * DELIVERY_BLOCK
+        sqrt = math.sqrt
+        for rank, issued, completed in islice(zip(self.delivery_ranks,
+                                                  self.delivery_issued,
+                                                  self.delivery_completed),
+                                              count):
+            duration = completed - issued
+            n += 1
+            delta = duration - mean
+            mean += delta / n
+            m2 += delta * (duration - mean)
+            if fh is not None:
+                put((n, rank, duration, mean, sqrt(m2 / n)))
+                if n % DELIVERY_BLOCK == 0:
+                    fh.write(block % tuple(fields))
+                    fields.clear()
+        if fields:
+            fh.write((_DELIVERY_ROW * (len(fields) // 5)) % tuple(fields))
+        return RunningStats(n, mean, m2)
 
     def mean_delivery(self) -> float:
         if self.delivery_stats.count == 0:
@@ -160,12 +188,7 @@ class MetricsReport:
         if not 1 <= completion_seq <= self.deliveries:
             raise ValueError(
                 f"completion_seq {completion_seq} outside 1..{self.deliveries}")
-        acc = RunningStats()
-        for issued, completed in islice(zip(self.delivery_issued,
-                                            self.delivery_completed),
-                                        completion_seq):
-            acc.add(completed - issued)
-        return acc.mean
+        return self._welford(completion_seq).mean
 
     # -- per-rank counters --------------------------------------------------
 
@@ -235,14 +258,7 @@ class MetricsReport:
         with open(os.path.join(outdir, "delivery.csv"), "w", newline="") as fh:
             self._header(fh)
             fh.write("completion_seq,rank,duration,cum_mean,cum_stddev\n")
-            acc = RunningStats()
-            for seq, (rank, issued, completed) in enumerate(
-                    zip(self.delivery_ranks, self.delivery_issued,
-                        self.delivery_completed), start=1):
-                duration = completed - issued
-                acc.add(duration)
-                fh.write(f"{seq},{rank},{duration:.9f},"
-                         f"{acc.mean:.9f},{acc.stddev:.9f}\n")
+            acc = self._welford(self.deliveries, fh)
         if self._delivery_stats is None:
             self._delivery_stats = acc
 

@@ -52,8 +52,6 @@ from heapq import heappop, heappush, merge
 from operator import itemgetter
 
 from .cache import (
-    ASYMMETRIC,
-    SYMMETRIC,
     InsertionPolicy,
     LatencyEstimator,
     LruCache,

@@ -75,8 +75,9 @@ class PerPacketSimulation(Simulation):
         d_ranks = []
         d_issued = []
         d_completed = []
-        d_stats = RunningStats()
-        add_duration = d_stats.add
+        # the loop's own Welford accumulator, independent of MetricsReport's
+        d_count = 0
+        d_mean = d_m2 = 0.0
 
         tick = itertools.count()
         heap = [(next_interarrival(rate, rngs[u]), next(tick),
@@ -193,7 +194,11 @@ class PerPacketSimulation(Simulation):
             # _COMPLETE: the object's last data packet reached user ev[3]
             rank = ev[4]
             for issue in ev[5]:
-                add_duration(t - issue)
+                duration = t - issue
+                d_count += 1
+                delta = duration - d_mean
+                d_mean += delta / d_count
+                d_m2 += delta * (duration - d_mean)
                 d_ranks.append(rank)
                 d_issued.append(issue)
                 d_completed.append(t)
@@ -218,7 +223,7 @@ class PerPacketSimulation(Simulation):
         # the loop's own accumulator stands in for the statistics that
         # MetricsReport derives from the columns, so the differential tests
         # compare the two
-        report._delivery_stats = d_stats
+        report._delivery_stats = RunningStats(d_count, d_mean, d_m2)
         for link in self.uplink:
             if link is not None:
                 # every reservation was made at or before `now`, so the busy

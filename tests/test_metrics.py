@@ -1,11 +1,16 @@
 """Result containers, running statistics, CSV schema."""
 
+import io
 import math
+import tempfile
+from array import array
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lacsim.metrics import (SCHEMA_VERSION, LinkStats, MetricsReport,
-                            RunningStats, link_load)
+from lacsim.metrics import (DELIVERY_BLOCK, SCHEMA_VERSION, LinkStats,
+                            MetricsReport, link_load)
 from lacsim.workload import make_stream
 
 
@@ -16,15 +21,21 @@ def two_pass(values):
     return mean, math.sqrt(var)
 
 
+def report_of(values):
+    """A report whose delivery durations are values: each is issued at 0.0,
+    and v - 0.0 is v."""
+    return MetricsReport(policy_label="lru", seed=1,
+                         delivery_ranks=array("q", [1] * len(values)),
+                         delivery_issued=array("d", [0.0] * len(values)),
+                         delivery_completed=array("d", values))
+
+
 def stats_of(values):
-    acc = RunningStats()
-    for v in values:
-        acc.add(v)
-    return acc
+    return report_of(values).delivery_stats
 
 
 def test_running_stats_hand_values():
-    empty = RunningStats()
+    empty = stats_of([])
     assert (empty.count, empty.mean, empty.stddev) == (0, 0.0, 0.0)
     acc = stats_of([2.0])
     assert (acc.mean, acc.stddev) == (2.0, 0.0)
@@ -33,12 +44,14 @@ def test_running_stats_hand_values():
     assert acc.stddev == pytest.approx(1.0)
     values = [1.0, 2.0, 3.0, 4.0]
     mean, std = two_pass(values)
-    acc = RunningStats()
-    for i, v in enumerate(values, start=1):
-        acc.add(v)
+    report = report_of(values)
+    for i in range(1, len(values) + 1):
         # every prefix agrees with a two-pass recomputation
         pm, ps = two_pass(values[:i])
+        acc = stats_of(values[:i])
         assert acc.mean == pytest.approx(pm) and acc.stddev == pytest.approx(ps)
+        assert report.cum_mean_at(i) == acc.mean
+    acc = report.delivery_stats
     assert acc.count == 4
     assert acc.mean == pytest.approx(mean)        # 2.5
     assert acc.stddev == pytest.approx(std)       # sqrt(1.25), population
@@ -49,6 +62,7 @@ def test_running_stats_against_two_pass_large():
     values = (gen.random(1_000_000) * 100.0).tolist()
     acc = stats_of(values)
     mean, std = two_pass(values)
+    assert acc.count == len(values)
     assert acc.mean == pytest.approx(mean, rel=1e-9)
     assert acc.stddev == pytest.approx(std, rel=1e-9)
 
@@ -129,24 +143,36 @@ def test_delivery_accessors():
         MetricsReport(policy_label="lru", seed=1).stddev_delivery()
 
 
-def test_delivery_stats_accumulate_once(tmp_path, monkeypatch):
-    added = []
-    add = RunningStats.add
-    monkeypatch.setattr(RunningStats, "add",
-                        lambda acc, value: (added.append(value),
-                                            add(acc, value)))
-    # export_csv's cumulative pass is the one pass
+class CountingColumn(array):
+    """A float column that counts the passes made over it."""
+
+    def __new__(cls, values):
+        return super().__new__(cls, "d", values)
+
+    def __init__(self, values):
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_delivery_stats_accumulate_once(tmp_path):
+    # export_csv's pass, which writes delivery.csv, is the one pass
     report = _small_report()
+    report.delivery_issued = column = CountingColumn(report.delivery_issued)
     report.export_csv(str(tmp_path))
+    assert column.passes == 1
     assert (report.mean_delivery(), report.delivery_stats.count) == (3.0, 3)
     report.stddev_delivery()
-    assert added == [2.0, 4.0, 3.0]
+    assert column.passes == 1
     # without an export, the first accessor makes it
-    added.clear()
     report = _small_report()
-    report.mean_delivery()
+    report.delivery_issued = column = CountingColumn(report.delivery_issued)
+    assert report.mean_delivery() == 3.0
+    assert column.passes == 1
     report.stddev_delivery()
-    assert added == [2.0, 4.0, 3.0]
+    assert column.passes == 1
 
 
 def test_link_accessors():
@@ -224,3 +250,90 @@ def test_csv_export_rejects_empty_counter(tmp_path):
     report.rank_counters["cacheA"][9] = [0, 0, 0, 0]
     with pytest.raises(ValueError):
         report.export_csv(str(tmp_path / "bad"))
+
+
+class Accumulator:
+    """Welford's one-pass mean and population stddev, one value at a time:
+    the reference writer's own copy of the recurrence."""
+
+    def __init__(self):
+        self.count = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+
+    def add(self, value: float):
+        self.count += 1
+        delta = value - self.mean
+        self.mean += delta / self.count
+        self._m2 += delta * (value - self.mean)
+
+    @property
+    def stddev(self) -> float:
+        if self.count == 0:
+            return 0.0
+        return math.sqrt(self._m2 / self.count)
+
+
+def reference_delivery_csv(report) -> str:
+    """delivery.csv as a per-row f-string loop writes it, one row per write."""
+    fh = io.StringIO()
+    report._header(fh)
+    fh.write("completion_seq,rank,duration,cum_mean,cum_stddev\n")
+    acc = Accumulator()
+    for seq, (rank, issued, completed) in enumerate(
+            zip(report.delivery_ranks, report.delivery_issued,
+                report.delivery_completed), start=1):
+        duration = completed - issued
+        acc.add(duration)
+        fh.write(f"{seq},{rank},{duration:.9f},"
+                 f"{acc.mean:.9f},{acc.stddev:.9f}\n")
+    return fh.getvalue()
+
+
+def delivery_report(n, seed, head):
+    """n deliveries: ranks up to 2**62, durations from 1e-9 to 1e9 (the
+    values of head first, then log-uniform draws), issue times up to 1e6."""
+    gen = np.random.default_rng(seed)
+    durations = (list(head) + (10.0 ** gen.uniform(-9.0, 9.0, n)).tolist())[:n]
+    issued = gen.uniform(0.0, 1e6, n)
+    return MetricsReport(
+        policy_label="lru", seed=seed,
+        delivery_ranks=array("q", gen.integers(1, 2**62, n,
+                                               endpoint=True).tolist()),
+        delivery_issued=array("d", issued.tolist()),
+        delivery_completed=array("d", (issued + durations).tolist()))
+
+
+EDGE_LENGTHS = (0, 1, DELIVERY_BLOCK - 1, DELIVERY_BLOCK, DELIVERY_BLOCK + 1,
+                2 * DELIVERY_BLOCK + 3)
+
+
+def _with_edge_lengths(test):
+    for n in EDGE_LENGTHS:
+        test = example(n=n, seed=n, head=[1e-9, 1e9])(test)
+    return test
+
+
+@settings(max_examples=25, deadline=None)
+@_with_edge_lengths
+@given(n=st.integers(0, 3 * DELIVERY_BLOCK), seed=st.integers(0, 2**32 - 1),
+       head=st.lists(st.floats(1e-9, 1e9), max_size=3))
+def test_delivery_blocks_equal_row_by_row_writes(n, seed, head):
+    report = delivery_report(n, seed, head)
+    with tempfile.TemporaryDirectory() as outdir:
+        report.export_csv(outdir)
+        with open(f"{outdir}/delivery.csv", newline="") as fh:
+            written = fh.read()
+    # compared as lines, which keeps a failure's report short
+    assert (written.splitlines(keepends=True)
+            == reference_delivery_csv(report).splitlines(keepends=True))
+    # the export's statistics are the ones a fresh report derives, to the bit
+    fresh = delivery_report(n, seed, head)
+    stats = fresh.delivery_stats
+    assert (report.delivery_stats.count, report.delivery_stats.mean,
+            report.delivery_stats._m2) == (stats.count, stats.mean, stats._m2)
+    assert stats.count == n
+    if n:
+        last = written.splitlines()[-1].split(",")
+        assert last[3:] == [f"{stats.mean:.9f}", f"{stats.stddev:.9f}"]
+        assert fresh.cum_mean_at(n) == fresh.mean_delivery()
