@@ -44,7 +44,6 @@ If a check fails, or p < 128u, every point is evaluated.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -62,7 +61,6 @@ __all__ = [
     "eta_asym",
     "vrtt",
     "fig1_grid",
-    "write_model_curves",
 ]
 
 TAU_ABS_TOL = 1e-9
@@ -220,8 +218,9 @@ def solve_tau(x: float, rate_lambda: float, popularity, mean_p: float = 1.0) -> 
     popularity is a PopularityModel or a raw per-rank weight vector. The
     expected occupancy is strictly increasing in tau from 0 to the catalog
     size, so the root is found by bisection on a verified sign-change
-    bracket (absolute tau tolerance 1e-9 s, at most 200 iterations), and the
-    residual is checked against 1e-6 * x before returning.
+    bracket (absolute tau tolerance 1e-9 s, at most 200 iterations, and no
+    step once the bracket's ends are adjacent doubles), and the residual is
+    checked against 1e-6 * x before returning.
 
     Only the sign of g(tau) = occupancy - x steers the bisection, and g is
     evaluated only inside a band around a Newton estimate of the root whose
@@ -284,6 +283,9 @@ def solve_tau(x: float, rate_lambda: float, popularity, mean_p: float = 1.0) -> 
     iterations = 0
     while hi - lo > TAU_ABS_TOL and iterations < MAX_BISECT_ITER:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent doubles: no step can move either
+            break
         if side(mid) < 0.0:
             lo = mid
         else:
@@ -372,12 +374,3 @@ def fig1_grid(popularity, x: float, rate_lambda: float, mean_p_list,
         for k in range(limit):
             rows.append((k + 1, mean_p, float(pi[k]), sol.tau))
     return rows
-
-
-def write_model_curves(path, rows):
-    """CSV emission of model curves with columns rank, mean_p, pi, tau_x."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "mean_p", "pi", "tau_x"])
-        for rank, mean_p, pi_val, tau in rows:
-            writer.writerow([rank, f"{mean_p:.9f}", f"{pi_val:.9f}", f"{tau:.9f}"])

@@ -20,8 +20,7 @@ import os
 import sys
 
 from . import __version__
-from .analytics import (eta_asym, eta_sym, fig1_grid, miss_sym, solve_tau,
-                        write_model_curves)
+from .analytics import eta_asym, eta_sym, fig1_grid, miss_sym, solve_tau
 from .cache import (ALWAYS, LATENCY_AWARE, SYMMETRIC, ProtocolError,
                     split_policy_list)
 from .harness import RunSummary, calibrated_lcp_policy, run_matrix
@@ -98,6 +97,10 @@ def cmd_model(args) -> int:
     popularity = zipf_weights(args.catalog, args.alpha)
     rows = fig1_grid(popularity, args.x, args.rate, probs,
                      max_rank=args.max_rank)
+    # formatted as they are written: holding the strings of a dense grid
+    # costs about half a megabyte
+    curve_lines = (f"{k},{p:.9f},{pi:.9f},{tau:.9f}\n"
+                   for k, p, pi, tau in rows)
     sym_lines = [f"{k},{miss_sym(k, args.x, args.alpha):.9f}\n"
                  for k in range(1, min(args.max_rank, args.catalog) + 1)]
     eta_lines = []
@@ -110,19 +113,15 @@ def cmd_model(args) -> int:
             eta_lines.append(f"{p:.9f},{eps:.9f},{e_s:.9f},{e_a:.9f}\n")
     outdir = _outdir(args, "model")
     os.makedirs(outdir, exist_ok=True)
-    curves = os.path.join(outdir, "model_curves.csv")
-    write_model_curves(curves, rows)
-    sym_path = os.path.join(outdir, "model_sym.csv")
-    with open(sym_path, "w") as fh:
-        fh.write("rank,pi_sym\n")
-        fh.writelines(sym_lines)
-    eta_path = os.path.join(outdir, "model_eta.csv")
-    with open(eta_path, "w") as fh:
-        fh.write("mean_p,epsilon,eta_sym,eta_asym\n")
-        fh.writelines(eta_lines)
-    print(f"wrote {curves}")
-    print(f"wrote {sym_path}")
-    print(f"wrote {eta_path}")
+    for name, header, lines in (
+            ("model_curves.csv", "rank,mean_p,pi,tau_x", curve_lines),
+            ("model_sym.csv", "rank,pi_sym", sym_lines),
+            ("model_eta.csv", "mean_p,epsilon,eta_sym,eta_asym", eta_lines)):
+        path = os.path.join(outdir, name)
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            fh.writelines(lines)
+        print(f"wrote {path}")
     return 0
 
 

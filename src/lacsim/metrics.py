@@ -10,9 +10,8 @@ fixed order, floats printed with nine decimals, newline-terminated. A given
 config and seed reproduces the files byte for byte. delivery.csv's running
 mean and stddev come from the same Welford pass that gives the report's
 delivery statistics, and its rows are written a block at a time. The other
-CSV files are written elsewhere: model_curves.csv by
-analytics.write_model_curves, model_sym.csv and model_eta.csv by cli, and
-each sweep.csv row by harness.RunSummary.csv_row.
+CSV files are written elsewhere: model_curves.csv, model_sym.csv and
+model_eta.csv by cli, and each sweep.csv row by harness.RunSummary.csv_row.
 """
 
 from __future__ import annotations

@@ -48,8 +48,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, merge
-from operator import itemgetter
+from heapq import heappop, heappush
+
+import numpy as np
 
 from .cache import (
     InsertionPolicy,
@@ -424,11 +425,10 @@ class Simulation:
 
         Only the last packet of an object is a heap event at each cache. The
         earlier ones wait in a FIFO owned by the cache they are bound for, as
-        records [rank, arrivals, tick, pos]: the arrival times that one
-        reserve call made on the link to that cache, one tick taken when the
-        record is made, before the tick of the _DATA event for the last
-        packet of the same call, and the index of the first packet not yet
-        applied. Packets are
+        records (rank, arrivals, tick): the arrival times that one reserve
+        call made on the link to that cache and that are not yet applied,
+        and one tick taken when the record is made, before the tick of the
+        _DATA event for the last packet of the same call. Packets are
         applied (counted, added to the pending entry's arrival_sum and
         forwarded on every face) when an event reaches that cache or a
         cache or user below it, root side first; and at the time cap, for
@@ -449,7 +449,9 @@ class Simulation:
           link, so its packets are sorted by (arrival, tick) across and
           within records, and an event applies exactly the prefix that the
           per-packet loop would have handled before it, at that cache and
-          at every cache above it. A partly applied record keeps pos.
+          at every cache above it. A partly applied record drops its
+          applied prefix; a wholly applied one leaves the FIFO and its list
+          is forwarded as it is.
         - A drain forwards a record's segment face by face, where the
           per-packet loop went packet by packet across the faces. Each
           link is fed by its parent alone, and the packets on any one
@@ -471,18 +473,20 @@ class Simulation:
 
         A delivery is not an event: the last packet's arrival at a user is
         known when reserve reserves it on the user's link, and the delivery
-        is recorded then, as one row (arrival time, tick, rank, issue time)
-        per issue in that user's columns. One tick is drawn per such
-        reservation, where the per-packet loop pushed a completion event,
-        which pushed, drew and drained nothing else, so every other event
-        and record keeps its tick. A user's link is a
-        FIFO fed by its parent alone, and every reservation on it ends at
-        max(now, busy_until) + tx, so its arrival times never decrease in
-        reservation order: each user's rows are in (time, tick) order, the
-        order in which the per-packet loop popped its completion events.
-        After the loop, each user's rows past the end of the run are
-        dropped, and the users' rows are merged by (time, tick) (see
-        _merge_deliveries).
+        is recorded then, as one row (arrival time, rank, issue time) per
+        issue, appended to one table shared by all users. Where the
+        per-packet loop pushed a completion event, which pushed, drew and
+        drained nothing else, no tick is drawn; the counter is monotone, so
+        every other pair of ticks keeps its order. That event's tick would
+        have been drawn at the reservation, so the table's reservation
+        order is the order of those ticks, and after the loop a stable sort
+        by arrival time puts the rows in the (time, tick) order in which
+        the per-packet loop popped its completion events, with the rows of
+        one reservation still together. With one user the rows are in that
+        order already: its link is a FIFO fed by its parent alone, and
+        every reservation on it ends at max(now, busy_until) + tx, so its
+        arrival times never decrease in reservation order. Then the rows
+        past the end of the run are dropped.
         """
         if self._ran:
             raise RuntimeError("this Simulation has run already; build a new "
@@ -515,13 +519,12 @@ class Simulation:
         user_issued = [0] * n_nodes
         repo_requests = 0
 
-        # per user: delivery columns (completed, tick, rank, issued), one
-        # row per issue, and their appends
-        columns = [(array("d"), array("q"), array("q"), array("d"))
-                   for _ in self.users]
-        appends = [None] * n_nodes
-        for u, cols in zip(self.users, columns):
-            appends[u] = tuple(col.append for col in cols)
+        # delivery table: one row (completed, rank, issued) per issue, in
+        # reservation order
+        completed, ranks, issued = array("d"), array("q"), array("d")
+        add_completed = completed.append
+        add_rank = ranks.append
+        add_issued = issued.append
 
         tick = itertools.count()
         heap = [(next_interarrival(rate, rngs[u]), next(tick),
@@ -533,9 +536,9 @@ class Simulation:
         for u in self.users:
             next_draw[u] = request_draws(model, rate, rngs[u], quota).__next__
         trains = ppo > 1
-        # per cache: [rank, arrivals, tick, pos] records, each the packets
-        # of one object that one reservation sent down the link to it;
-        # arrivals[pos:] are still to be applied
+        # per cache: (rank, arrivals, tick) records, each the packets of one
+        # object that one reservation sent down the link to it and that are
+        # still to be applied
         queue = [deque() for _ in range(n_nodes)]
 
         def reserve(face, rank, issues, departures, last):
@@ -550,18 +553,15 @@ class Simulation:
             if departures:
                 sent = list(map(transmit, departures))
                 if issues is None:
-                    queue[face].append([rank, sent, next(tick), 0])
+                    queue[face].append((rank, sent, next(tick)))
             if last is None:
                 return
             arrival = transmit(last)
             if issues is None:
                 heappush(heap, (arrival, next(tick), _DATA, face, rank))
                 return
-            k = next(tick)
-            add_completed, add_tick, add_rank, add_issued = appends[face]
             for issue in issues:
                 add_completed(arrival)
-                add_tick(k)
                 add_rank(rank)
                 add_issued(issue)
 
@@ -571,17 +571,22 @@ class Simulation:
             for node in chain:
                 q = queue[node]
                 while q:
-                    rec = q[0]
-                    rank, arrivals, rec_tick, pos = rec
+                    rank, arrivals, rec_tick = q[0]
                     if rec_tick < tk:
-                        end = bisect_right(arrivals, t, pos)
+                        end = bisect_right(arrivals, t)
                     else:
-                        end = bisect_left(arrivals, t, pos)
-                    if end == pos:
+                        end = bisect_left(arrivals, t)
+                    if end == 0:
                         break
-                    seg = arrivals[pos:end]
+                    partial = end < len(arrivals)
+                    if partial:
+                        seg = arrivals[:end]
+                        del arrivals[:end]
+                    else:
+                        seg = arrivals
+                        q.popleft()
                     e = pits[node][rank]
-                    e.received += end - pos
+                    e.received += end
                     total = e.arrival_sum
                     for a in seg:
                         total += a
@@ -589,10 +594,8 @@ class Simulation:
                     # a record never holds its object's last packet
                     for f, issues in e.faces.items():
                         reserve(f, rank, issues, seg, None)
-                    if end < len(arrivals):
-                        rec[3] = end
+                    if partial:
                         break
-                    q.popleft()
 
         now = 0.0
 
@@ -679,9 +682,18 @@ class Simulation:
             heappush(heap, (t + uplink[u].prop_s, next(tick), _INTEREST,
                             parent[u], rank, u, t))
 
+        if len(self.users) > 1:
+            # completion order: reservation order is tick order, so a stable
+            # sort by arrival gives the (time, tick) order
+            order = np.argsort(np.frombuffer(completed), kind="stable")
+            completed, ranks, issued = (
+                array(col.typecode,
+                      np.frombuffer(col, col.typecode)[order].tobytes())
+                for col in (completed, ranks, issued))
         # the run ends at its last event or delivery, or at the time cap if
         # either lies past it
-        now = max([now, *(cols[0][-1] for cols in columns if cols[0])])
+        if completed:
+            now = max(now, completed[-1])
         if time_cap is not None and now > time_cap:
             now = time_cap
         if trains:
@@ -689,10 +701,9 @@ class Simulation:
             # packet of every object has drained its queue already
             for node in self.caches:
                 drain(upstream[node], now, math.inf)
-        for cols in columns:
-            end = bisect_right(cols[0], now)
-            for col in cols:
-                del col[end:]
+        end = bisect_right(completed, now)
+        for col in (completed, ranks, issued):
+            del col[end:]
 
         report = MetricsReport(
             policy_label=self.config.policy.label(),
@@ -708,8 +719,9 @@ class Simulation:
         for i in self.users:
             report.user_request_counts[self.labels[i]] = user_issued[i]
         report.repo_requests = repo_requests
-        (report.delivery_completed, report.delivery_ranks,
-         report.delivery_issued) = _merge_deliveries(columns)
+        report.delivery_completed = completed
+        report.delivery_ranks = ranks
+        report.delivery_issued = issued
         for link in self.uplink:
             if link is not None:
                 # every reservation was made at or before `now`, so the busy
@@ -720,26 +732,6 @@ class Simulation:
                                               bytes=link.bytes,
                                               busy_seconds=busy))
         return report
-
-
-def _merge_deliveries(columns: list) -> tuple:
-    """The per-user delivery columns (completed, tick, rank, issued), each
-    user's rows in (completed, tick) order, merged into the columns
-    (completed, rank, issued) of all rows in (completed, tick) order. Ticks
-    are unique across users and heapq.merge is stable, so rows that share a
-    tick keep their order. The columns of the one user with deliveries are
-    taken as they are."""
-    filled = [cols for cols in columns if cols[0]]
-    if len(filled) == 1:
-        completed, _, ranks, issued = filled[0]
-        return completed, ranks, issued
-    completed, ranks, issued = array("d"), array("q"), array("d")
-    for t, _, rank, issue in merge(*(zip(*cols) for cols in filled),
-                                   key=itemgetter(0, 1)):
-        completed.append(t)
-        ranks.append(rank)
-        issued.append(issue)
-    return completed, ranks, issued
 
 
 def _nodes(users: int, caches: int) -> list:

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from lacsim import analytics
 from lacsim.analytics import (CheSolution, eta_asym, eta_sym, fig1_grid,
                               miss_asym, miss_mixture, miss_sym, solve_tau,
-                              vrtt, write_model_curves)
+                              vrtt)
+from lacsim.cli import main
 from lacsim.workload import zipf_weights
 
 # catalog 20000, alpha 1.7, unit rate, cache of 8 objects
@@ -117,6 +118,8 @@ def plain_solve_tau(x, rate_lambda, weights, mean_p):
     iterations = 0
     while hi - lo > 1e-9 and iterations < 200:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if g(mid) < 0.0:
             lo = mid
         else:
@@ -169,6 +172,16 @@ def test_solve_tau_matches_plain_bisection_bit_for_bit():
     # check would fail
     with pytest.raises(ValueError, match="mean_p"):
         solve_tau(2.0, 0.5, zipf_weights(50, 0.9).weights, 1e-17)
+
+
+def test_solve_tau_stops_at_adjacent_doubles():
+    # tau is far above 1 s, where 1e-9 s is below the spacing of doubles: the
+    # bisection ends once lo and hi are adjacent, with the bits it reached
+    weights = zipf_weights(9832, 1.30).weights
+    sol = solve_tau(3702, 0.0038, weights, mean_p=1.6e-6)
+    assert sol.tau == 559238790.0775888
+    assert sol.residual == 9.094947017729282e-13
+    assert sol.iterations < 200
 
 
 def test_solve_tau_evaluates_near_the_root(catalog, monkeypatch):
@@ -352,11 +365,12 @@ def test_fig1_grid_structure(catalog):
         assert all(a >= b - 1e-12 for a, b in zip(head, head[1:]))
 
 
-def test_model_curves_csv(tmp_path, catalog):
-    path = tmp_path / "curves.csv"
-    rows = fig1_grid(catalog, 8.0, 1.0, [1.0], max_rank=3)
-    write_model_curves(path, rows)
-    lines = path.read_text().splitlines()
+def test_model_curves_csv(tmp_path):
+    # the curve file that `lacsim model` writes for the catalog fixture
+    outdir = tmp_path / "model"
+    assert main(["model", "--max-rank", "3", "--mean-p", "1.0",
+                 "--outdir", str(outdir)]) == 0
+    lines = (outdir / "model_curves.csv").read_text().splitlines()
     assert lines[0] == "rank,mean_p,pi,tau_x"
     assert len(lines) == 4
     first = lines[1].split(",")

@@ -203,6 +203,10 @@ def test_generated_trees(raw):
         rho = link_load(ls, report.elapsed)
         assert 0.0 < rho <= 1.0 if ls.bytes else rho == 0.0
 
+    # the report lists deliveries in completion order
+    completed = report.delivery_completed
+    assert all(a <= b for a, b in zip(completed, completed[1:]))
+
     # a delivery takes at least the whole object's transmission and the
     # propagation delay on the user's own link. Deliveries that complete
     # together for one rank came from one user face, and only the first of
