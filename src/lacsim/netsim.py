@@ -18,10 +18,13 @@ node is holding the reassembled object at that moment).
 
 Links never need idle/busy events: a FIFO link is fully described by the
 time its output becomes free, so each transmission is scheduled
-arithmetically (start = max(now, busy_until)). Events are requests, interest
-arrivals, and the arrival of an object's last packet at each cache. Data
-moves by reservations, each a run of one object's packets sent down one
-link in order, and one rule says what a reservation becomes. On the link to
+arithmetically (start = max(now, busy_until)), and a Link holds that time
+alone. Simulation.run counts the packets it reserves on each link, and a
+link's bytes and busy time are derived from its count after the run (see
+busy_time). Events are requests, interest arrivals, and the arrival of an
+object's last packet at each cache. Data moves by reservations, each a run
+of one object's packets sent down one link in order, and one rule says
+what a reservation becomes. On the link to
 a cache, the packets before the object's last become one record, in a FIFO
 owned by that cache, and are applied just before the first event at that
 cache, or at a cache or user below it, that they precede (see
@@ -78,6 +81,7 @@ __all__ = [
     "Topology",
     "ScenarioConfig",
     "Link",
+    "busy_time",
     "Simulation",
     "preset",
     "PRESETS",
@@ -296,20 +300,21 @@ class ScenarioConfig:
 
 
 class Link:
-    """FIFO store-and-forward output queue for the data direction of an edge."""
+    """FIFO store-and-forward output queue for the data direction of an edge.
 
-    __slots__ = ("label", "prop_s", "tx_packet_s", "packet_bytes",
-                 "busy_until", "busy_seconds", "bytes")
+    It holds only its FIFO state, the time its output becomes free.
+    Simulation.run counts the packets it reserves on each link, and the
+    link's bytes and busy time follow from that count after the run (see
+    busy_time)."""
+
+    __slots__ = ("label", "prop_s", "tx_packet_s", "busy_until")
 
     def __init__(self, label: str, capacity_bps: float, prop_s: float,
                  packet_bytes: int):
         self.label = label
         self.prop_s = prop_s
-        self.packet_bytes = packet_bytes
         self.tx_packet_s = packet_bytes * 8.0 / capacity_bps
         self.busy_until = 0.0
-        self.busy_seconds = 0.0
-        self.bytes = 0
 
     def transmit_packet(self, now: float) -> float:
         """Enqueue one packet; returns its arrival time at the far end:
@@ -319,9 +324,27 @@ class Link:
             start = now
         end = start + self.tx_packet_s
         self.busy_until = end
-        self.busy_seconds += self.tx_packet_s
-        self.bytes += self.packet_bytes
         return end + self.prop_s
+
+
+# busy_time adds at most this many doubles per np.add.accumulate call, which
+# bounds its scratch memory at 32 KiB
+_BUSY_BLOCK = 4096
+
+
+def busy_time(tx: float, packets: int) -> float:
+    """The busy time of a link that sent packets packets of tx seconds each:
+    packets copies of tx added one after another from 0.0, to the bits that
+    a running total updated once per packet would hold. np.add.accumulate
+    adds in order, a block at a time, carrying the total between blocks."""
+    total = 0.0
+    block = np.full(min(packets, _BUSY_BLOCK), tx)
+    while packets > 0:
+        n = min(packets, _BUSY_BLOCK)
+        block[0] = total + tx
+        total = float(np.add.accumulate(block[:n])[-1])
+        packets -= n
+    return total
 
 
 class _PitEntry:
@@ -515,6 +538,8 @@ class Simulation:
         rank_req = [dict() for _ in range(n_nodes)]
         forwards = [0] * n_nodes
         dec_count = [0] * n_nodes
+        # per link, keyed by the node it feeds: packets reserved on it
+        packets = [0] * n_nodes
         dec_prob_sum = [0.0] * n_nodes
         user_issued = [0] * n_nodes
         repo_requests = 0
@@ -551,11 +576,13 @@ class Simulation:
             delivery row per issue."""
             transmit = uplink[face].transmit_packet
             if departures:
+                packets[face] += len(departures)
                 sent = list(map(transmit, departures))
                 if issues is None:
                     queue[face].append((rank, sent, next(tick)))
             if last is None:
                 return
+            packets[face] += 1
             arrival = transmit(last)
             if issues is None:
                 heappush(heap, (arrival, next(tick), _DATA, face, rank))
@@ -722,15 +749,16 @@ class Simulation:
         report.delivery_completed = completed
         report.delivery_ranks = ranks
         report.delivery_issued = issued
-        for link in self.uplink:
+        for link, sent in zip(self.uplink, packets):
             if link is not None:
                 # every reservation was made at or before `now`, so the busy
                 # time past the end of the run is the one block
                 # [now, busy_until]; it is empty unless the time cap hit
-                busy = link.busy_seconds - max(0.0, link.busy_until - now)
-                report.links.append(LinkStats(label=link.label,
-                                              bytes=link.bytes,
-                                              busy_seconds=busy))
+                busy = (busy_time(link.tx_packet_s, sent)
+                        - max(0.0, link.busy_until - now))
+                report.links.append(LinkStats(
+                    label=link.label, bytes=sent * cfg.packet_size_bytes,
+                    busy_seconds=busy))
         return report
 
 

@@ -3,7 +3,10 @@
 `PerPacketSimulation.run` is `Simulation.run` as it stood when every data
 packet was its own heap event at every hop, copied verbatim together with
 the pending-interest entry it uses; only its counters and the report
-assembly follow the report's current layout. It still accumulates delivery
+assembly follow the report's current layout. Its links keep their own
+accounting, as Link once did: a packet count and a busy time that grows by
+the packet's transmission time at every transmit_packet call
+(_AccountingLink). It still accumulates delivery
 statistics inside the loop, as Simulation.run once did, and hands them to
 the report in place of the ones MetricsReport derives from the delivery
 columns. The differential tests in
@@ -15,7 +18,7 @@ import itertools
 from heapq import heappop, heappush
 
 from lacsim.metrics import LinkStats, MetricsReport, RunningStats
-from lacsim.netsim import (_DATA, _INTEREST, _REQUEST, Simulation,
+from lacsim.netsim import (_DATA, _INTEREST, _REQUEST, Link, Simulation,
                            decide_insertion, next_interarrival, sample_rank)
 
 _COMPLETE = 3  # this loop's completion event; Simulation.run has none
@@ -42,8 +45,33 @@ class _PitEntry:
 
 
 
+class _AccountingLink(Link):
+    """A Link that counts its packets and adds up their transmission times
+    one packet at a time."""
+
+    __slots__ = ("packets", "busy_seconds")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.packets = 0
+        self.busy_seconds = 0.0
+
+    def transmit_packet(self, now: float) -> float:
+        self.packets += 1
+        self.busy_seconds += self.tx_packet_s
+        return super().transmit_packet(now)
+
+
 class PerPacketSimulation(Simulation):
     """Simulation whose run() schedules one heap event per packet per hop."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        for ls in config.topology.links:
+            down = self.idx_of[ls.down]
+            self.uplink[down] = _AccountingLink(
+                self.uplink[down].label, ls.capacity_bps, ls.prop_delay_s,
+                config.packet_size_bytes)
 
     def run(self) -> MetricsReport:
         cfg = self.config
@@ -230,7 +258,8 @@ class PerPacketSimulation(Simulation):
                 # time past the end of the run is the one block
                 # [now, busy_until]; it is empty unless the time cap hit
                 busy = link.busy_seconds - max(0.0, link.busy_until - now)
-                report.links.append(LinkStats(label=link.label,
-                                              bytes=link.bytes,
-                                              busy_seconds=busy))
+                report.links.append(LinkStats(
+                    label=link.label,
+                    bytes=link.packets * cfg.packet_size_bytes,
+                    busy_seconds=busy))
         return report

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 
 import pytest
 import yaml
@@ -14,8 +15,8 @@ from lacsim.analytics import miss_asym, solve_tau
 from lacsim.metrics import link_load
 from lacsim.netsim import (CACHE, REPOSITORY, USER, ConfigError, Link,
                            LinkSpec, NodeSpec, ScenarioConfig, Simulation,
-                           PRESETS, Topology, load_scenario, preset,
-                           scenario_from_dict)
+                           PRESETS, Topology, busy_time, load_scenario,
+                           preset, scenario_from_dict)
 from lacsim.workload import zipf_weights
 
 
@@ -101,22 +102,49 @@ def test_delivery_time_floor():
 # ---------------------------------------------------------------- links
 
 def test_link_queueing_arithmetic():
+    # a link keeps only its FIFO state; Simulation.run counts the packets
+    # it reserves, and bytes and busy time follow from the count
     link = Link("up->down", 30_000.0, 0.0, 10_000)
-    assert link.transmit_packet(0.0) == pytest.approx(8.0 / 3.0)
+    sent = []
+
+    def send(now):
+        sent.append(now)
+        return link.transmit_packet(now)
+
+    assert send(0.0) == pytest.approx(8.0 / 3.0)
     # second packet queues behind the first
-    assert link.transmit_packet(0.0) == pytest.approx(16.0 / 3.0)
+    assert send(0.0) == pytest.approx(16.0 / 3.0)
     # idle link restarts at now
-    assert link.transmit_packet(10.0) == pytest.approx(10.0 + 8.0 / 3.0)
-    assert link.busy_seconds == pytest.approx(8.0)
-    assert link.bytes == 30_000
-    assert link.transmit_packet(20.0) == pytest.approx(20.0 + 8.0 / 3.0)
+    assert send(10.0) == pytest.approx(10.0 + 8.0 / 3.0)
+    assert busy_time(link.tx_packet_s, len(sent)) == pytest.approx(8.0)
+    assert len(sent) * 10_000 == 30_000
+    assert send(20.0) == pytest.approx(20.0 + 8.0 / 3.0)
 
 
 def test_link_propagation_delay_not_occupancy():
     link = Link("up->down", 30_000.0, 0.5, 10_000)
     assert link.transmit_packet(0.0) == pytest.approx(8.0 / 3.0 + 0.5)
     assert link.busy_until == pytest.approx(8.0 / 3.0)
-    assert link.busy_seconds == pytest.approx(8.0 / 3.0)
+    assert busy_time(link.tx_packet_s, 1) == pytest.approx(8.0 / 3.0)
+
+
+def test_busy_time_adds_one_packet_at_a_time():
+    # busy_time adds in blocks of 4096; it must give the bits of a running
+    # total updated once per packet, inside a block, at its edges and across
+    # many of them
+    counts = (0, 1, 4095, 4096, 4097, 3 * 4096 + 5, 10**6)
+    txs = {Link("x", ls["capacity_bps"], 0.0, raw["packet_size_bytes"]).tx_packet_s
+           for raw in PRESETS.values() for ls in raw["links"]}
+    draw = random.Random(20)
+    txs |= {10.0 ** draw.uniform(-9.0, 2.0) for _ in range(50)}
+    assert len(txs) == 55
+    for tx in sorted(txs):
+        total, added = 0.0, 0
+        for n in counts:
+            for _ in range(n - added):
+                total += tx
+            added = n
+            assert busy_time(tx, n).hex() == total.hex(), (tx, n)
 
 
 # ------------------------------------------------------------ conservation

@@ -2,6 +2,7 @@
 loop it replaced (tests/per_packet_oracle.py), on every field of the report,
 and invariants of generated tree topologies."""
 
+import collections
 import dataclasses
 import random
 import tempfile
@@ -109,6 +110,55 @@ def test_tree_schedules_few_events_per_request(monkeypatch):
     PerPacketSimulation(config).run()
     assert trains == calls[0]
     assert pushes[0] <= 5 * report.user_requests
+
+
+def serial_sum(tx: float, n: int) -> float:
+    """n copies of tx added one after another, as a per-packet running
+    total adds them."""
+    total = 0.0
+    for _ in range(n):
+        total += tx
+    return total
+
+
+ACCOUNTING = {
+    "tree": lambda: preset("tree", policy="lac", seed=3, requests_per_user=100),
+    "tree-capped": lambda: dataclasses.replace(
+        preset("tree", policy="lac", seed=3, requests_per_user=100),
+        max_sim_time_s=40.0),
+    "single": lambda: preset("single", policy="lac:5,5", seed=3,
+                             requests_per_user=2000),
+    "mixed": lambda: scenario_from_dict(MIXED_FACES),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCOUNTING))
+def test_link_accounting_counts_every_transmission(case, monkeypatch):
+    # run counts packets per reservation, not per transmit_packet call: on
+    # every link the count must equal the calls, and the busy time must be
+    # that many transmission times added one at a time
+    config = ACCOUNTING[case]()
+    calls = collections.Counter()
+    transmit = netsim.Link.transmit_packet
+
+    def counting_transmit(link, now):
+        calls[link.label] += 1
+        return transmit(link, now)
+
+    monkeypatch.setattr(netsim.Link, "transmit_packet", counting_transmit)
+    sim = Simulation(config)
+    report = sim.run()
+    links = [link for link in sim.uplink if link is not None]
+    assert [ls.label for ls in report.links] == [link.label for link in links]
+    unsent = []
+    for link, ls in zip(links, report.links):
+        n = calls[link.label]
+        assert n > 0
+        assert ls.bytes == n * config.packet_size_bytes
+        unsent.append(max(0.0, link.busy_until - report.elapsed))
+        assert ls.busy_seconds == serial_sum(link.tx_packet_s, n) - unsent[-1]
+    # the capped case ends with packets still on the wire
+    assert any(unsent) == (config.max_sim_time_s is not None)
 
 
 def test_single_schedules_no_completion_events(monkeypatch):
