@@ -238,8 +238,9 @@ def solve_tau(x: float, rate_lambda: float, popularity, mean_p: float = 1.0) -> 
         # no miss is ever admitted in float arithmetic: the occupancy stays 0
         raise ValueError(f"mean_p {mean_p!r} is too small: 1 - mean_p rounds "
                          f"to 1")
-    if rate_lambda <= 0.0:
-        raise ValueError(f"rate_lambda must be positive, got {rate_lambda!r}")
+    if not (math.isfinite(rate_lambda) and rate_lambda > 0.0):
+        raise ValueError(f"rate_lambda must be positive and finite, "
+                         f"got {rate_lambda!r}")
     neg_lam = rate_lambda * weights
     np.negative(neg_lam, out=neg_lam)
     e, miss = np.empty_like(neg_lam), np.empty_like(neg_lam)

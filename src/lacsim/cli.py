@@ -72,16 +72,12 @@ def cmd_sim(args) -> int:
     outdir = _outdir(args, f"{config.name or 'run'}-{report.policy_label}"
                            f"-s{report.seed}")
     report.export_csv(outdir)
-    # a run capped before its first delivery (or request) has no means
-    line = (f"policy={report.policy_label} seed={report.seed}"
-            f" requests={report.user_requests}"
-            f" deliveries={report.deliveries}")
-    if report.deliveries:
-        line += (f" mean_delivery={report.mean_delivery():.4f}"
-                 f" stddev={report.stddev_delivery():.4f}")
-    if report.user_requests:
-        line += f" miss={report.overall_miss():.4f}"
-    print(line)
+    print(f"policy={report.policy_label} seed={report.seed}"
+          f" requests={report.user_requests}"
+          f" deliveries={report.deliveries}"
+          f" mean_delivery={report.mean_delivery():.4f}"
+          f" stddev={report.stddev_delivery():.4f}"
+          f" miss={report.overall_miss():.4f}")
     for ls in report.links:
         print(f"  link {ls.label}: rho={link_load(ls, report.elapsed):.4f}")
     print(f"wrote {outdir}")
@@ -95,8 +91,12 @@ def cmd_model(args) -> int:
     # input writes nothing
     probs = args.mean_p
     popularity = zipf_weights(args.catalog, args.alpha)
-    rows = fig1_grid(popularity, args.x, args.rate, probs,
-                     max_rank=args.max_rank)
+    try:
+        rows = fig1_grid(popularity, args.x, args.rate, probs,
+                         max_rank=args.max_rank)
+    except RuntimeError as exc:  # a degenerate rate defeats the solve
+        raise ValueError(f"no characteristic time at --rate {args.rate!r}: "
+                         f"{exc}") from exc
     # formatted as they are written: holding the strings of a dense grid
     # costs about half a megabyte
     curve_lines = (f"{k},{p:.9f},{pi:.9f},{tau:.9f}\n"
@@ -218,8 +218,10 @@ def _print_policy_table(rows):
 
 def cmd_sweep(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    rows = run_matrix(args.preset, split_policy_list(args.policies), seeds,
-                      args.horizon, args.warmup)
+    policies = split_policy_list(args.policies)
+    if not policies:
+        raise ValueError(f"--policies {args.policies!r} names no policy")
+    rows = run_matrix(args.preset, policies, seeds, args.horizon, args.warmup)
     outdir = _outdir(args, f"sweep-{args.preset}")
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "sweep.csv")

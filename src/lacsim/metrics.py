@@ -268,9 +268,9 @@ class MetricsReport:
                 fh.write(f"{ls.label},{ls.bytes},"
                          f"{link_load(ls, self.elapsed):.9f}\n")
 
-        # a mean with no samples is an empty field: no delivery (a run capped
-        # before its first), no user request, or no insertion decision (every
-        # cache at capacity 0)
+        # a mean with no samples is an empty field: no insertion decision
+        # (every cache at capacity 0) in a run, and no delivery or no user
+        # request in a report built by hand
         delivered = self.delivery_stats.count > 0
         means = (
             f"{self.mean_delivery():.9f}" if delivered else "",

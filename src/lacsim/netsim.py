@@ -232,7 +232,6 @@ class ScenarioConfig:
     seed: int = 1
     policy: InsertionPolicy = field(default_factory=InsertionPolicy)
     stats_warmup_s: float = 0.0
-    max_sim_time_s: float = None
     policy_defaults: tuple = ()  # sorted (key, value) pairs; a mapping is converted
     name: str = ""
 
@@ -259,10 +258,6 @@ class ScenarioConfig:
         if not math.isfinite(self.stats_warmup_s):
             raise ConfigError(f"stats_warmup_s must be finite, "
                               f"got {self.stats_warmup_s!r}")
-        cap = self.max_sim_time_s
-        if cap is not None and not (math.isfinite(cap) and cap > 0.0):
-            raise ConfigError(f"max_sim_time_s must be positive and finite, "
-                              f"got {cap!r}")
         # No run goes past its requests' largest gaps, plus every packet of
         # every request sent over every link, plus each propagation delay
         # crossed by an interest and by data; reject a config whose bound
@@ -431,7 +426,7 @@ class Simulation:
         self._ran = False
 
     def run(self) -> MetricsReport:
-        """Run to completion (or to the time cap) and return the report.
+        """Run until every request has been delivered and return the report.
 
         A Simulation runs once: its links, caches, pending entries and
         streams keep the state the run left, so a second call raises
@@ -454,9 +449,8 @@ class Simulation:
         _DATA event for the last packet of the same call. Packets are
         applied (counted, added to the pending entry's arrival_sum and
         forwarded on every face) when an event reaches that cache or a
-        cache or user below it, root side first; and at the time cap, for
-        arrivals up to the cap. The result is the same as with one event
-        per packet, to the byte:
+        cache or user below it, root side first. The result is the same as
+        with one event per packet, to the byte:
 
         - One tick per record, taken at reservation, stands for the ticks
           the per-packet loop gave its packets. Those were drawn back to
@@ -508,8 +502,7 @@ class Simulation:
         one reservation still together. With one user the rows are in that
         order already: its link is a FIFO fed by its parent alone, and
         every reservation on it ends at max(now, busy_until) + tx, so its
-        arrival times never decrease in reservation order. Then the rows
-        past the end of the run are dropped.
+        arrival times never decrease in reservation order.
         """
         if self._ran:
             raise RuntimeError("this Simulation has run already; build a new "
@@ -518,7 +511,6 @@ class Simulation:
         cfg = self.config
         ppo = cfg.packets_per_object
         warmup = cfg.stats_warmup_s
-        time_cap = cfg.max_sim_time_s
         quota = cfg.requests_per_user
         rate = cfg.request_rate
         model = self.model
@@ -630,9 +622,6 @@ class Simulation:
             ev = heappop(heap)
             t = ev[0]
             assert t >= now, "event times must be non-decreasing"
-            if time_cap is not None and t > time_cap:
-                now = time_cap
-                break
             now = t
             kind = ev[2]
             if trains:
@@ -717,20 +706,10 @@ class Simulation:
                 array(col.typecode,
                       np.frombuffer(col, col.typecode)[order].tobytes())
                 for col in (completed, ranks, issued))
-        # the run ends at its last event or delivery, or at the time cap if
-        # either lies past it
-        if completed:
-            now = max(now, completed[-1])
-        if time_cap is not None and now > time_cap:
-            now = time_cap
-        if trains:
-            # packets that arrived by the time cap; without a cap the last
-            # packet of every object has drained its queue already
-            for node in self.caches:
-                drain(upstream[node], now, math.inf)
-        end = bisect_right(completed, now)
-        for col in (completed, ranks, issued):
-            del col[end:]
+        # the run ends at its last event or delivery; every request has
+        # been delivered, and the last packet of every object has drained
+        # its queue
+        now = max(now, completed[-1])
 
         report = MetricsReport(
             policy_label=self.config.policy.label(),
@@ -751,14 +730,9 @@ class Simulation:
         report.delivery_issued = issued
         for link, sent in zip(self.uplink, packets):
             if link is not None:
-                # every reservation was made at or before `now`, so the busy
-                # time past the end of the run is the one block
-                # [now, busy_until]; it is empty unless the time cap hit
-                busy = (busy_time(link.tx_packet_s, sent)
-                        - max(0.0, link.busy_until - now))
                 report.links.append(LinkStats(
                     label=link.label, bytes=sent * cfg.packet_size_bytes,
-                    busy_seconds=busy))
+                    busy_seconds=busy_time(link.tx_packet_s, sent)))
         return report
 
 
@@ -852,7 +826,6 @@ _SCALAR_KEYS = {
     "requests_per_user": ("requests_per_user", _integer),
     "seed": ("seed", _integer),
     "stats_warmup_s": ("stats_warmup_s", _real),
-    "max_sim_time_s": ("max_sim_time_s", _real),
     "name": ("name", lambda key, value: str(value)),
 }
 _SCENARIO_KEYS = {"policy", "policy_defaults", "nodes", "links", *_SCALAR_KEYS}
@@ -918,7 +891,7 @@ def load_scenario(path: str, **overrides) -> ScenarioConfig:
     Required top-level keys: catalog_size, zipf_alpha, request_rate_per_user,
     object_size_bytes, packet_size_bytes, requests_per_user, nodes, links.
     Optional ones, which default to the ScenarioConfig fields: seed, policy,
-    policy_defaults, stats_warmup_s, max_sim_time_s, name. policy is the
+    policy_defaults, stats_warmup_s, name. policy is the
     one insertion policy of every cache. Node entries carry {id, kind:
     user|cache|repository, cache_capacity_objects, label}; link entries
     {down, up, capacity_bps, prop_delay_s} with down the user-side

@@ -3,7 +3,9 @@
 `PerPacketSimulation.run` is `Simulation.run` as it stood when every data
 packet was its own heap event at every hop, copied verbatim together with
 the pending-interest entry it uses; only its counters and the report
-assembly follow the report's current layout. Its links keep their own
+assembly follow the report's current layout. Like Simulation.run, it runs
+until every request has been delivered: the time cap's early stop and the
+busy-time clip at the cap are gone with the cap. Its links keep their own
 accounting, as Link once did: a packet count and a busy time that grows by
 the packet's transmission time at every transmit_packet call
 (_AccountingLink). It still accumulates delivery
@@ -77,7 +79,6 @@ class PerPacketSimulation(Simulation):
         cfg = self.config
         ppo = cfg.packets_per_object
         warmup = cfg.stats_warmup_s
-        time_cap = cfg.max_sim_time_s
         quota = cfg.requests_per_user
         rate = cfg.request_rate
         model = self.model
@@ -132,9 +133,6 @@ class PerPacketSimulation(Simulation):
             ev = heappop(heap)
             t = ev[0]
             assert t >= now, "event times must be non-decreasing"
-            if time_cap is not None and t > time_cap:
-                now = time_cap
-                break
             now = t
             kind = ev[2]
 
@@ -254,12 +252,8 @@ class PerPacketSimulation(Simulation):
         report._delivery_stats = RunningStats(d_count, d_mean, d_m2)
         for link in self.uplink:
             if link is not None:
-                # every reservation was made at or before `now`, so the busy
-                # time past the end of the run is the one block
-                # [now, busy_until]; it is empty unless the time cap hit
-                busy = link.busy_seconds - max(0.0, link.busy_until - now)
                 report.links.append(LinkStats(
                     label=link.label,
                     bytes=link.packets * cfg.packet_size_bytes,
-                    busy_seconds=busy))
+                    busy_seconds=link.busy_seconds))
         return report

@@ -208,8 +208,11 @@ def test_solve_tau_domain_errors(catalog):
     for x in (0.0, -1.0, 3.0, 4.0):
         with pytest.raises(ValueError):
             solve_tau(x, 1.0, small)
-    with pytest.raises(ValueError):
-        solve_tau(1.0, 0.0, small)
+    # nan passes a plain `rate <= 0` test, and inf makes g(0) nan; either
+    # would end in "no sign change on bracket", not a domain error
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate_lambda"):
+            solve_tau(1.0, rate, small)
     for mean_p in (0.0, -0.1, 1.1):
         with pytest.raises(ValueError):
             solve_tau(1.0, 1.0, small, mean_p=mean_p)

@@ -137,23 +137,6 @@ def test_sim_without_insertion_decisions_writes_bundle(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("cap,means", [
-    (0.5, "lru,,,,"),                 # seed 1 issues its first request later
-    (5.0, "lru,,,1.000000000,"),      # one request, still on its way back
-])
-def test_sim_capped_before_first_delivery_writes_bundle(cap, means, tmp_path,
-                                                        capsys):
-    # a mean with no samples is an empty summary field
-    path = tmp_path / "capped.yaml"
-    path.write_text(yaml.safe_dump(dict(MINI_SCENARIO, max_sim_time_s=cap)))
-    outdir = tmp_path / "out"
-    assert main(["sim", "--config", str(path), "--outdir", str(outdir)]) == 0
-    assert sorted(p.name for p in outdir.iterdir()) == sorted(CSV_BUNDLE)
-    assert (outdir / "summary.csv").read_text().splitlines()[2] == means
-    assert len((outdir / "delivery.csv").read_text().splitlines()) == 2
-    assert "deliveries=0" in capsys.readouterr().out
-
-
 def test_lac_with_overflowing_exponent_runs(tmp_path, capsys):
     # delta_t**400 exceeds the float range once a latency passes ~5.9 s
     assert main(["sim", "--preset", "single", "--policy", "lac:400,1",
@@ -218,6 +201,9 @@ def test_model_rejects_mean_p_that_vanishes_against_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags,message", [
     (["--alpha", "0.8"], "alpha"), (["--epsilon", "1.5"], "eps"),
+    (["--rate", "nan"], "rate_lambda"), (["--rate", "inf"], "rate_lambda"),
+    # finite, but the characteristic time cannot be bracketed or solved
+    (["--rate", "1e-200"], "--rate"), (["--rate", "1e200"], "--rate"),
 ])
 def test_model_bad_input_writes_nothing(flags, message, tmp_path, capsys):
     # every row is computed before any file is written
@@ -351,6 +337,8 @@ def test_sweep_rejects_empty_seed_list(tmp_path, capsys):
     (["--horizon", "0"], "requests_per_user"),
     (["--seeds=-3"], "seed"),
     (["--policies", "bogus"], "bogus"),
+    (["--policies", ""], "names no policy"),
+    (["--policies", ","], "names no policy"),
 ])
 def test_sweep_config_error_leaves_no_output_dir(flags, message, tmp_path,
                                                  capsys):

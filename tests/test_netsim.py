@@ -12,7 +12,6 @@ import pytest
 import yaml
 
 from lacsim.analytics import miss_asym, solve_tau
-from lacsim.metrics import link_load
 from lacsim.netsim import (CACHE, REPOSITORY, USER, ConfigError, Link,
                            LinkSpec, NodeSpec, ScenarioConfig, Simulation,
                            PRESETS, Topology, busy_time, load_scenario,
@@ -44,8 +43,8 @@ def requests_hits(report, label) -> tuple:
 
 
 def assert_flow_conserved(sim, report):
-    """In an uncapped run every interest a node received was sent by a
-    child: a cache forwarding a miss, or a user issuing a request."""
+    """Every interest a node received was sent by a child: a cache
+    forwarding a miss, or a user issuing a request."""
     labels = sim.labels
     sent = {labels[i]: 0 for i in sim.caches + [sim.repo]}
     for i in sim.caches:
@@ -352,31 +351,6 @@ def test_pending_interest_aggregation():
     assert report.user_requests == 400
 
 
-def test_time_cap_stops_early():
-    config = tiny_config(catalog=10, cap=2, horizon=5000,
-                         max_sim_time_s=50.0)
-    report = Simulation(config).run()
-    assert report.deliveries < 5000
-    assert report.elapsed <= 51.0
-
-
-def test_time_cap_clips_elapsed_and_busy_time():
-    # a cacheless single preset saturates the 30 Kbps repository link, so
-    # transmissions reserved before the cap run past it
-    config = preset("single", policy="lru", seed=1, requests_per_user=2000)
-    nodes = list(config.topology.nodes)
-    nodes[1] = dataclasses.replace(nodes[1], cache_capacity_objects=0)
-    config = dataclasses.replace(
-        config, topology=dataclasses.replace(config.topology, nodes=nodes),
-        max_sim_time_s=300.0)
-    report = Simulation(config).run()
-    assert report.deliveries < 2000
-    assert report.elapsed == 300.0
-    rho = {ls.label: link_load(ls, report.elapsed) for ls in report.links}
-    assert 0.9 < rho["repo->cache1"] <= 1.0
-    assert all(0.0 < r <= 1.0 for r in rho.values())
-
-
 # ------------------------------------------------------------- validation
 
 def test_node_and_link_validation():
@@ -546,6 +520,11 @@ def test_loader_rejects_unknown_keys(tmp_path):
     raw["router_mtu"] = 1500
     with pytest.raises(ConfigError):
         scenario_from_dict(raw)
+    # a run always ends when every request has been delivered: there is no
+    # time cap to set
+    raw = dict(BASE_YAML, max_sim_time_s=50.0)
+    with pytest.raises(ConfigError, match="unknown config keys.*max_sim_time_s"):
+        scenario_from_dict(raw)
     raw = dict(BASE_YAML)
     raw["nodes"] = [dict(BASE_YAML["nodes"][0], color="red")] + \
         BASE_YAML["nodes"][1:]
@@ -561,7 +540,6 @@ def test_loader_rejects_unknown_keys(tmp_path):
 @pytest.mark.parametrize("where,key", [
     ("links", "capacity_bps"), ("links", "prop_delay_s"),
     (None, "request_rate_per_user"), (None, "stats_warmup_s"),
-    (None, "max_sim_time_s"),
 ])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_loader_rejects_non_finite_values(where, key, value):
@@ -728,7 +706,7 @@ def test_configs_are_frozen_values():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, f.name, getattr(value, f.name))
     with pytest.raises(ConfigError):
-        dataclasses.replace(config, max_sim_time_s=0.0)
+        dataclasses.replace(config, requests_per_user=0)
     with pytest.raises(ConfigError):  # the root cache loses its uplink
         dataclasses.replace(topology, links=topology.links[:-1])
     with pytest.raises(ConfigError):
