@@ -162,15 +162,14 @@ def cmd_compare(args) -> int:
         mean_p, gated = policy.p, True
     model = _model_curve(config, cache.cache_capacity_objects, mean_p,
                          policy.mtf_mode)
-    late = config.stats_warmup_s > 0
-    curve = report.miss_curve(label, GATE_RANKS, late=late)
+    curve = report.miss_curve(label, GATE_RANKS)
     worst = 0.0
     print(f"cache={label} policy={report.policy_label} mean_p={mean_p:.4f}")
     print("rank,sim,model,delta")
     for k, pi in enumerate(model, start=1):
         if k not in curve:
-            raise ValueError(f"rank {k} saw no requests at {label}; "
-                             "increase --horizon to use the model gate")
+            raise ValueError(f"rank {k} saw no requests at {label}; increase "
+                             "--horizon or lower --warmup for the model gate")
         sim = curve[k]
         delta = abs(sim - pi)
         worst = max(worst, delta)
@@ -189,11 +188,17 @@ def _parse_seeds(text: str):
         part = part.strip()
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            span = range(int(lo), int(hi) + 1)
+            if not span:
+                raise ValueError(f"--seeds range {part!r} names no seed: "
+                                 "it runs downward")
         else:
-            seeds.append(int(part))
-    if not seeds:
-        raise ValueError(f"--seeds {text!r} names no seed")
+            span = [int(part)]
+        repeated = set(seeds).intersection(span)
+        if repeated:
+            raise ValueError(f"--seeds part {part!r} repeats seed "
+                             f"{min(repeated)}")
+        seeds.extend(span)
     return seeds
 
 
@@ -221,7 +226,7 @@ def cmd_sweep(args) -> int:
     policies = split_policy_list(args.policies)
     if not policies:
         raise ValueError(f"--policies {args.policies!r} names no policy")
-    rows = run_matrix(args.preset, policies, seeds, args.horizon, args.warmup)
+    rows = run_matrix(args.preset, policies, seeds, args.horizon)
     outdir = _outdir(args, f"sweep-{args.preset}")
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "sweep.csv")
@@ -289,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", default="1-5",
                        help="e.g. 1-10 or 1,3,7")
     sweep.add_argument("--horizon", type=int, default=None)
-    sweep.add_argument("--warmup", type=float, default=None)
     sweep.add_argument("--outdir", default="")
     sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -62,17 +62,14 @@ def run_summary(config: ScenarioConfig, cum_marks=()) -> RunSummary:
 
 
 def run_matrix(preset_name: str, policies, seeds, requests_per_user: int,
-               stats_warmup_s: float = None, cum_marks=()):
+               cum_marks=()):
     """Run every (policy, seed) pair on one preset; returns RunSummary list.
-    A requests_per_user or stats_warmup_s of None keeps the preset's."""
-    out = []
-    for policy in policies:
-        for seed in seeds:
-            config = preset(preset_name, policy=policy, seed=seed,
-                            requests_per_user=requests_per_user,
-                            stats_warmup_s=stats_warmup_s)
-            out.append(run_summary(config, cum_marks))
-    return out
+    A requests_per_user of None keeps the preset's. Every config is built
+    before the first run, so a bad policy fails before any run."""
+    configs = [preset(preset_name, policy=policy, seed=seed,
+                      requests_per_user=requests_per_user)
+               for policy in policies for seed in seeds]
+    return [run_summary(config, cum_marks) for config in configs]
 
 
 def calibrated_lcp_policy(config: ScenarioConfig) -> InsertionPolicy:

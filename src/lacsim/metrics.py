@@ -84,22 +84,23 @@ class MetricsReport:
     """Everything measured in one simulation run.
 
     rank_counters maps each cache label, in node order, to rank -> [requests,
-    hits, late_requests, late_hits]: the first two count the whole run (they
-    are miss_prob.csv), the last two count from stats_warmup_s into the run
-    on and serve steady-state comparisons (miss_curve(late=True)). A rank is
-    present once the cache has seen a request for it. forwards maps each
-    cache label to the interests it sent upstream, one per pending entry it
-    opened; the interests that joined a pending entry are requests - hits -
-    forwards. user_request_counts maps each user label to the requests it
-    issued, and user_requests is their sum. Deliveries are stored
-    column-wise in completion order, in typed arrays: delivery_ranks of
-    typecode "q", delivery_issued and delivery_completed of typecode "d",
-    8 bytes per delivery each. The delivery statistics are derived from the
-    delivery_issued and delivery_completed columns by one Welford pass
-    (_welford) over the durations completed - issued in completion order.
-    delivery_stats keeps the pass's RunningStats, made once per report, on
-    first use or by export_csv's pass that writes delivery.csv, whichever
-    comes first. cum_mean_at runs the same pass over a prefix.
+    hits] over the interests that reached the cache at or after
+    stats_warmup_s, the whole run when that is 0 (they are miss_prob.csv and
+    miss_curve). A rank is present once the cache has counted a request for
+    it. Every other count covers the whole run. forwards maps each cache
+    label to the interests it sent upstream, one per pending entry it
+    opened; when stats_warmup_s is 0, the interests that joined a pending
+    entry are requests - hits - forwards. user_request_counts maps each
+    user label to the requests it issued, and user_requests is their sum.
+    Deliveries are stored column-wise in completion order, in typed arrays:
+    delivery_ranks of typecode "q", delivery_issued and delivery_completed
+    of typecode "d", 8 bytes per delivery each. The delivery statistics are
+    derived from the delivery_issued and delivery_completed columns by one
+    Welford pass (_welford) over the durations completed - issued in
+    completion order. delivery_stats keeps the pass's RunningStats, made
+    once per report, on first use or by export_csv's pass that writes
+    delivery.csv, whichever comes first. cum_mean_at runs the same pass
+    over a prefix.
     """
 
     policy_label: str
@@ -191,13 +192,12 @@ class MetricsReport:
 
     # -- per-rank counters --------------------------------------------------
 
-    def miss_curve(self, node_label: str, max_rank: int, late: bool = False) -> dict:
-        """rank -> miss ratio for ranks 1..max_rank that saw any requests in
-        the whole run, or with late=True from stats_warmup_s on."""
-        first = 2 if late else 0
+    def miss_curve(self, node_label: str, max_rank: int) -> dict:
+        """rank -> miss ratio for ranks 1..max_rank that saw any requests
+        from stats_warmup_s on."""
         out = {}
-        for rank, counts in self.rank_counters.get(node_label, {}).items():
-            requests, hits = counts[first:first + 2]
+        counters = self.rank_counters.get(node_label, {})
+        for rank, (requests, hits) in counters.items():
             if rank <= max_rank and requests > 0:
                 out[rank] = (requests - hits) / requests
         return out
@@ -246,7 +246,7 @@ class MetricsReport:
             fh.write("node_id,rank,requests,misses,miss_ratio\n")
             for label, node in self.rank_counters.items():
                 for rank in sorted(node):
-                    requests, hits = node[rank][:2]
+                    requests, hits = node[rank]
                     if requests == 0:
                         raise ValueError(
                             f"empty counter for {label!r} rank {rank} at export")

@@ -526,7 +526,7 @@ class Simulation:
         upstream = self.upstream
         n_nodes = len(self.kinds)
 
-        # per cache: rank -> [requests, hits, late_requests, late_hits]
+        # per cache: rank -> [requests, hits] from the warm-up on
         rank_req = [dict() for _ in range(n_nodes)]
         forwards = [0] * n_nodes
         dec_count = [0] * n_nodes
@@ -660,17 +660,14 @@ class Simulation:
                     repo_requests += 1
                     reserve(frm, rank, issues, (t,) * (ppo - 1), t)
                     continue
-                ent = rank_req[node].get(rank)
-                if ent is None:
-                    ent = rank_req[node][rank] = [0, 0, 0, 0]
-                ent[0] += 1
-                late_win = t >= warmup
-                if late_win:
-                    ent[2] += 1
-                if stores[node].lookup(rank, policy, rngs[node]):
-                    ent[1] += 1
-                    if late_win:
-                        ent[3] += 1
+                hit = stores[node].lookup(rank, policy, rngs[node])
+                if t >= warmup:
+                    ent = rank_req[node].get(rank)
+                    if ent is None:
+                        ent = rank_req[node][rank] = [0, 0]
+                    ent[0] += 1
+                    ent[1] += hit
+                if hit:
                     reserve(frm, rank, issues, (t,) * (ppo - 1), t)
                     continue
                 e = pits[node].get(rank)
@@ -808,7 +805,10 @@ def _integer(key: str, value) -> int:
 
 
 def _real(key: str, value) -> float:
-    """value as a float; a string that float() cannot read is refused."""
+    """value as a float; a bool or a string that float() cannot read is
+    refused."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except ValueError:

@@ -93,7 +93,7 @@ class PerPacketSimulation(Simulation):
         repo = self.repo
         n_nodes = len(self.kinds)
 
-        # per cache: rank -> [requests, hits, late_requests, late_hits]
+        # per cache: rank -> [requests, hits] from the warm-up on
         rank_req = [dict() for _ in range(n_nodes)]
         forwards = [0] * n_nodes
         dec_count = [0] * n_nodes
@@ -177,17 +177,14 @@ class PerPacketSimulation(Simulation):
                     repo_requests += 1
                     send_object(frm, rank, issues, t)
                     continue
-                ent = rank_req[node].get(rank)
-                if ent is None:
-                    ent = rank_req[node][rank] = [0, 0, 0, 0]
-                ent[0] += 1
-                late_win = t >= warmup
-                if late_win:
-                    ent[2] += 1
-                if stores[node].lookup(rank, policy, rngs[node]):
-                    ent[1] += 1
-                    if late_win:
-                        ent[3] += 1
+                hit = stores[node].lookup(rank, policy, rngs[node])
+                if t >= warmup:
+                    ent = rank_req[node].get(rank)
+                    if ent is None:
+                        ent = rank_req[node][rank] = [0, 0]
+                    ent[0] += 1
+                    ent[1] += hit
+                if hit:
                     send_object(frm, rank, issues, t)
                     continue
                 e = pits[node].get(rank)

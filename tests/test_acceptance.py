@@ -125,7 +125,7 @@ def test_c02_symmetric_sim_tracks_lru_in_second_half():
                         requests_per_user=FLAT_HORIZON,
                         stats_warmup_s=100_000.0)
         report = Simulation(config).run()
-        curves[policy] = report.miss_curve("cache1", GATE_RANKS, late=True)
+        curves[policy] = report.miss_curve("cache1", GATE_RANKS)
     worst, where = _curve_delta(curves["sym:0.1"], curves["lru"])
     ok = worst <= RANK_TOL
     _verdict(2, ok, f"sym:0.1 vs LRU second-half max|delta|={worst:.4f} "
@@ -151,8 +151,8 @@ def test_c03_latency_aware_converges_to_calibrated_fixed_prob():
                                                 mtf_mode=ASYMMETRIC))
         lcp_rep = Simulation(lcp_cfg).run()
 
-        lac_curves.append(lac_rep.miss_curve("cache1", GATE_RANKS, late=True))
-        lcp_curves.append(lcp_rep.miss_curve("cache1", GATE_RANKS, late=True))
+        lac_curves.append(lac_rep.miss_curve("cache1", GATE_RANKS))
+        lcp_curves.append(lcp_rep.miss_curve("cache1", GATE_RANKS))
         p_cals.append(p_cal)
 
     worst, where = _curve_delta(_mean_curve(lac_curves),

@@ -69,6 +69,28 @@ def test_sim_writes_csv_bundle(tmp_path, capsys):
     assert "rho=" in out
 
 
+def test_sim_warmup_narrows_only_miss_prob(tmp_path, capsys):
+    # --warmup moves the per-rank counters' window and nothing else
+    bundles = []
+    for flags in ([], ["--warmup", "150"]):
+        outdir = tmp_path / str(len(bundles))
+        assert main(["sim", "--preset", "single", "--seed", "3",
+                     "--horizon", "300", "--outdir", str(outdir)] + flags) == 0
+        bundles.append({name: (outdir / name).read_bytes()
+                        for name in CSV_BUNDLE})
+    capsys.readouterr()
+    whole, warm = bundles
+    for name in ("delivery.csv", "links.csv", "summary.csv"):
+        assert warm[name] == whole[name]
+    assert warm["miss_prob.csv"] != whole["miss_prob.csv"]
+
+    def requests(bundle):
+        rows = bundle["miss_prob.csv"].decode().splitlines()[2:]
+        return sum(int(row.split(",")[2]) for row in rows)
+
+    assert 0 < requests(warm) < requests(whole)
+
+
 def test_sim_single_request_yields_one_delivery(tmp_path):
     outdir = tmp_path / "one"
     code = main(["sim", "--preset", "line", "--policy", "lru",
@@ -273,6 +295,10 @@ def test_compare_needs_enough_data(capsys):
                  "--horizon", "300"]) == 1
     err = capsys.readouterr().err
     assert "increase --horizon" in err
+    # a warm-up past the end of the run leaves no request counted
+    assert main(["compare", "--preset", "single", "--policy", "lru",
+                 "--horizon", "300", "--warmup", "1e9"]) == 1
+    assert "lower --warmup" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("policy", ["lru", "sym:0.1"])
@@ -339,6 +365,10 @@ def test_sweep_rejects_empty_seed_list(tmp_path, capsys):
     (["--policies", "bogus"], "bogus"),
     (["--policies", ""], "names no policy"),
     (["--policies", ","], "names no policy"),
+    (["--seeds", "1,5-3"], "'5-3'"),
+    (["--seeds", "1-3,2"], "'2' repeats seed 2"),
+    # a sweep's rows count the whole run, so it takes no warm-up
+    (["--warmup", "1"], "--warmup"),
 ])
 def test_sweep_config_error_leaves_no_output_dir(flags, message, tmp_path,
                                                  capsys):
@@ -347,6 +377,21 @@ def test_sweep_config_error_leaves_no_output_dir(flags, message, tmp_path,
             "--outdir", str(outdir)]
     assert main(argv + flags) == 1
     assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_sweep_builds_every_config_before_the_first_run(tmp_path, capsys,
+                                                       monkeypatch):
+    # a bad policy late in --policies fails before any run of the good ones
+    runs = []
+    monkeypatch.setattr("lacsim.harness.run_summary",
+                        lambda *args: runs.append(args))
+    outdir = tmp_path / "sweeps"
+    assert main(["sweep", "--preset", "single", "--policies", "lru,bogus",
+                 "--seeds", "1-2", "--horizon", "10",
+                 "--outdir", str(outdir)]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert runs == []
     assert not outdir.exists()
 
 

@@ -82,8 +82,8 @@ def _small_report():
     report = MetricsReport(
         policy_label="lcp:0.1", seed=7, elapsed=10.0,
         rank_counters={
-            "cacheA": {1: [4, 3, 2, 2], 2: [2, 0, 1, 0]},
-            "cacheB": {1: [2, 1, 1, 0]},
+            "cacheA": {1: [4, 3], 2: [2, 0]},
+            "cacheB": {1: [2, 1]},
         },
         user_request_counts={"user1": 4, "user2": 2},
         repo_requests=3,
@@ -100,20 +100,15 @@ def _small_report():
 def test_miss_ratio_and_curve():
     report = _small_report()
     assert report.miss_curve("cacheA", max_rank=2) == {1: 0.25, 2: 1.0}
-    assert report.miss_curve("cacheA", max_rank=2, late=True) == \
-        {1: 0.0, 2: 1.0}
     assert report.miss_curve("cacheA", max_rank=1) == {1: 0.25}
     assert 99 not in report.miss_curve("cacheA", max_rank=99)
     assert report.miss_curve("nowhere", max_rank=1) == {}
-    # a rank seen only before the warm-up has no late miss ratio
-    report.rank_counters["cacheB"][2] = [3, 1, 0, 0]
-    assert report.miss_curve("cacheB", max_rank=2, late=True) == {1: 1.0}
 
 
 def test_zero_count_miss_ratio_rejected():
     # a rank with no requests has no miss ratio and is left out of the curve
     report = _small_report()
-    report.rank_counters["cacheA"][3] = [0, 0, 0, 0]
+    report.rank_counters["cacheA"][3] = [0, 0]
     assert report.miss_curve("cacheA", max_rank=3) == {1: 0.25, 2: 1.0}
 
 
@@ -247,7 +242,7 @@ def test_csv_export_deterministic(tmp_path):
 
 def test_csv_export_rejects_empty_counter(tmp_path):
     report = _small_report()
-    report.rank_counters["cacheA"][9] = [0, 0, 0, 0]
+    report.rank_counters["cacheA"][9] = [0, 0]
     with pytest.raises(ValueError):
         report.export_csv(str(tmp_path / "bad"))
 

@@ -37,7 +37,7 @@ def tiny_config(catalog=1, cap=1, horizon=10, policy="lru", seed=1, rate=1.0,
 
 
 def requests_hits(report, label) -> tuple:
-    """A cache's requests and hits over the whole run."""
+    """A cache's requests and hits from the warm-up on."""
     counts = report.rank_counters[label].values()
     return sum(c[0] for c in counts), sum(c[1] for c in counts)
 
@@ -314,21 +314,28 @@ def test_lac_runs_when_latencies_vanish(seed):
 
 # ------------------------------------------------------------- accounting
 
-def test_warmup_window_splits_counters():
+def test_warmup_window_splits_counters(tmp_path):
     config = preset("single", policy="lru", seed=4, requests_per_user=2000,
                     stats_warmup_s=900.0)
     report = Simulation(config).run()
-    requests, hits, late_requests, late_hits = report.rank_counters["cache1"][1]
-    assert 0 < late_requests < requests
-    assert 0 <= late_hits <= min(hits, late_requests)
-    # the CSV bundle does not cover the late window, so pin its values
-    assert report.miss_curve("cache1", 20, late=True) == {
+    # the counts from the warm-up on, pinned
+    curve = report.miss_curve("cache1", 20)
+    assert curve == {
         1: 0.0, 2: 0.05847953216374269, 3: 0.27906976744186046,
         4: 0.288135593220339, 5: 0.358974358974359, 6: 0.5862068965517241,
         7: 0.8666666666666667, 8: 0.6666666666666666, 9: 0.7333333333333333,
         10: 1.0, 11: 0.6666666666666666, 12: 1.0, 13: 1.0,
         14: 0.7142857142857143, 15: 0.75, 16: 0.7777777777777778, 17: 1.0,
         18: 1.0, 19: 1.0, 20: 1.0}
+    # miss_prob.csv holds the same counts
+    report.export_csv(str(tmp_path))
+    rows = (tmp_path / "miss_prob.csv").read_text().splitlines()[2:]
+    exported = {int(rank): [int(requests), int(requests) - int(misses)]
+                for label, rank, requests, misses, _ in
+                (row.split(",") for row in rows) if label == "cache1"}
+    assert exported == report.rank_counters["cache1"]
+    assert {rank: (requests - hits) / requests
+            for rank, (requests, hits) in exported.items() if rank <= 20} == curve
 
 
 def test_pending_interest_aggregation():
@@ -541,7 +548,7 @@ def test_loader_rejects_unknown_keys(tmp_path):
     ("links", "capacity_bps"), ("links", "prop_delay_s"),
     (None, "request_rate_per_user"), (None, "stats_warmup_s"),
 ])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True])
 def test_loader_rejects_non_finite_values(where, key, value):
     raw = dict(BASE_YAML)
     if where is None:
@@ -613,7 +620,7 @@ def test_loader_reads_whole_floats_as_integers():
 @pytest.mark.parametrize("key,value", [
     ("catalog_size", 0), ("catalog_size", -3),
     ("zipf_alpha", 0.0), ("zipf_alpha", -1.7),
-    ("zipf_alpha", math.nan), ("zipf_alpha", math.inf),
+    ("zipf_alpha", math.nan), ("zipf_alpha", math.inf), ("zipf_alpha", True),
     ("seed", 2**128), ("seed", 2**130 + 3),
 ])
 def test_loader_rejects_values_the_run_cannot_use(key, value):
