@@ -78,7 +78,7 @@ def calibrated_lcp_policy(config: ScenarioConfig) -> InsertionPolicy:
     calibration the comparison experiments prescribe."""
     probe = config
     if config.policy.kind != LATENCY_AWARE:
-        probe = dataclasses.replace(config, policy=config.resolve_policy("lac"))
+        probe = dataclasses.replace(config, policy="lac")
     report = Simulation(probe).run()
     p = report.min_mean_decision_prob()
     return InsertionPolicy(kind=FIXED_PROB, p=p, mtf_mode=ASYMMETRIC)

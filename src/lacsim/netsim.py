@@ -12,9 +12,11 @@ completed object.
 Pending-interest aggregation is per (node, object): while a retrieval is in
 flight, further interests for the same object join the outstanding entry
 instead of traveling upstream. Requesters registered before the first data
-packet receive the stream as it is forwarded; a requester that joins midway
-through the stream is sent a complete copy when the retrieval finishes (the
-node is holding the reassembled object at that moment).
+packet receive the stream as it is forwarded, and so does a later request
+from a user face that is already receiving it, which gets the rest of the
+stream; any other requester that joins midway through the stream is sent a
+complete copy when the retrieval finishes (the node is holding the
+reassembled object at that moment).
 
 Links never need idle/busy events: a FIFO link is fully described by the
 time its output becomes free, so each transmission is scheduled
@@ -50,7 +52,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from heapq import heappop, heappush
 
 import numpy as np
@@ -109,6 +111,46 @@ class ConfigError(ValueError):
 _KEY_BOUND = 2**128
 
 
+def _integer(key: str, value) -> int:
+    """value as an int; a bool or a fractional number is refused, not truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}") from None
+
+
+def _real(key: str, value) -> float:
+    """value as a float; a bool, a string that float() cannot read or an int
+    too large for a float is refused."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (OverflowError, TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+# a field's conversion by its annotation, which is a string under
+# `from __future__ import annotations`
+_CONVERSIONS = {"int": _integer, "float": _real,
+                "str": lambda key, value: str(value)}
+
+
+def _convert_fields(spec) -> None:
+    """Convert each int, float and str field of a frozen spec in place, so a
+    spec built by hand or by dataclasses.replace reads its values as the
+    config loader does: a None in a field with a default takes the default."""
+    for f in fields(spec):
+        convert = _CONVERSIONS.get(f.type)
+        if convert is not None:
+            value = getattr(spec, f.name)
+            if value is None and f.default is not MISSING:
+                value = f.default
+            object.__setattr__(spec, f.name, convert(f.name, value))
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     node_id: int
@@ -117,6 +159,7 @@ class NodeSpec:
     label: str = ""
 
     def __post_init__(self):
+        _convert_fields(self)
         if self.kind not in (USER, CACHE, REPOSITORY):
             raise ConfigError(f"unknown node kind {self.kind!r}")
         if not 0 <= self.node_id < _KEY_BOUND:
@@ -136,6 +179,15 @@ class LinkSpec:
     up: int
     capacity_bps: float
     prop_delay_s: float = 0.0
+
+    def __post_init__(self):
+        _convert_fields(self)
+        if not (math.isfinite(self.capacity_bps) and self.capacity_bps > 0.0):
+            raise ConfigError(f"link {self.up}->{self.down} capacity must be "
+                              f"positive and finite, got {self.capacity_bps!r}")
+        if not (math.isfinite(self.prop_delay_s) and self.prop_delay_s >= 0.0):
+            raise ConfigError(f"link {self.up}->{self.down} propagation delay must "
+                              f"be non-negative and finite, got {self.prop_delay_s!r}")
 
 
 @dataclass(frozen=True)
@@ -170,12 +222,6 @@ class Topology:
         for ls in self.links:
             if ls.down not in nodes or ls.up not in nodes:
                 raise ConfigError(f"link {ls.down}->{ls.up} references unknown nodes")
-            if not (math.isfinite(ls.capacity_bps) and ls.capacity_bps > 0.0):
-                raise ConfigError(f"link {ls.up}->{ls.down} capacity must be "
-                                  f"positive and finite, got {ls.capacity_bps!r}")
-            if not (math.isfinite(ls.prop_delay_s) and ls.prop_delay_s >= 0.0):
-                raise ConfigError(f"link {ls.up}->{ls.down} propagation delay must "
-                                  f"be non-negative and finite, got {ls.prop_delay_s!r}")
             if ls.down in parent:
                 raise ConfigError(f"node {ls.down} has more than one upstream link")
             parent[ls.down] = ls.up
@@ -206,21 +252,12 @@ class Topology:
         object.__setattr__(self, "parent", parent)
 
 
-def _resolve_policy(value, defaults) -> InsertionPolicy:
-    """value, or the policy string value parsed with the keyword defaults."""
-    if isinstance(value, InsertionPolicy):
-        return value
-    if not isinstance(value, str):
-        raise ConfigError(f"policy must be a policy string, got {value!r}")
-    try:
-        return parse_policy(value, **defaults)
-    except (TypeError, ValueError) as exc:  # TypeError: an unknown default
-        raise ConfigError(f"{exc} (policy_defaults {defaults})") from exc
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A scenario, checked once when built; dataclasses.replace checks a copy."""
+    """A scenario, converted and checked when it is built; a copy made with
+    dataclasses.replace is converted and checked again. policy may be given
+    as a policy string, which is parsed with policy_defaults, and
+    policy_defaults as a mapping or as (key, value) pairs."""
 
     topology: Topology
     catalog_size: int
@@ -236,8 +273,23 @@ class ScenarioConfig:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "policy_defaults",
-                           tuple(sorted(dict(self.policy_defaults).items())))
+        _convert_fields(self)
+        defaults = self.policy_defaults
+        malformed = ConfigError(f"policy_defaults must be a mapping or (key, value) "
+                                f"pairs, got {defaults!r}")
+        if not isinstance(defaults, (dict, tuple)):
+            raise malformed
+        try:
+            pairs = dict(defaults).items()
+        except (TypeError, ValueError):
+            raise malformed from None
+        object.__setattr__(self, "policy_defaults", tuple(sorted(
+            (str(key), _real(f"policy_defaults {key}", value))
+            for key, value in pairs)))
+        # every default must make a valid policy, used or not
+        for name in ("lcp", "lac"):
+            self.resolve_policy(name)
+        object.__setattr__(self, "policy", self.resolve_policy(self.policy))
         if self.catalog_size < 1:
             raise ConfigError(f"catalog_size must be >= 1, got {self.catalog_size!r}")
         if not (math.isfinite(self.zipf_alpha) and self.zipf_alpha > 0.0):
@@ -282,16 +334,23 @@ class ScenarioConfig:
                 raise ConfigError(f"link {ls.up}->{ls.down} {key} "
                                   f"{getattr(ls, key)!r} lets the run's times "
                                   f"overflow")
-        # every default must make a valid policy, used or not
-        for name in ("lcp", "lac"):
-            self.resolve_policy(name)
 
     @property
     def packets_per_object(self) -> int:
         return self.object_size_bytes // self.packet_size_bytes
 
     def resolve_policy(self, text_or_policy) -> InsertionPolicy:
-        return _resolve_policy(text_or_policy, dict(self.policy_defaults))
+        """text_or_policy, or the policy string text_or_policy parsed with
+        policy_defaults."""
+        if isinstance(text_or_policy, InsertionPolicy):
+            return text_or_policy
+        if not isinstance(text_or_policy, str):
+            raise ConfigError(f"policy must be a policy string, got {text_or_policy!r}")
+        defaults = dict(self.policy_defaults)
+        try:
+            return parse_policy(text_or_policy, **defaults)
+        except (TypeError, ValueError) as exc:  # TypeError: an unknown default
+            raise ConfigError(f"{exc} (policy_defaults {defaults})") from exc
 
 
 class Link:
@@ -778,109 +837,53 @@ PRESETS = {
 PRESET_NAMES = tuple(PRESETS)
 
 
-def preset(name: str, policy=None, seed: int = None,
-           requests_per_user: int = None,
-           stats_warmup_s: float = None) -> ScenarioConfig:
-    """The scenario PRESETS[name] with the given keys replaced; None keeps
-    the preset's value (or the config default).
-
-    policy may be a policy string (parsed with the preset's defaults) or an
-    InsertionPolicy.
-    """
+def preset(name: str, **overrides) -> ScenarioConfig:
+    """The scenario PRESETS[name] with top-level keys replaced as in
+    scenario_from_dict; None keeps the preset's value (or the config
+    default)."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return scenario_from_dict(PRESETS[name], policy=policy, seed=seed,
-                              requests_per_user=requests_per_user,
-                              stats_warmup_s=stats_warmup_s)
+    return scenario_from_dict(PRESETS[name], **overrides)
 
 
-def _integer(key: str, value) -> int:
-    """value as an int; a bool or a fractional number is refused, not truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a whole number, got {value!r}") from None
-
-
-def _real(key: str, value) -> float:
-    """value as a float; a bool or a string that float() cannot read is
-    refused."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
-# config-file key -> (ScenarioConfig field, conversion); a key that is
-# absent or null takes the field's default
-_SCALAR_KEYS = {
-    "catalog_size": ("catalog_size", _integer),
-    "zipf_alpha": ("zipf_alpha", _real),
-    "request_rate_per_user": ("request_rate", _real),
-    "object_size_bytes": ("object_size_bytes", _integer),
-    "packet_size_bytes": ("packet_size_bytes", _integer),
-    "requests_per_user": ("requests_per_user", _integer),
-    "seed": ("seed", _integer),
-    "stats_warmup_s": ("stats_warmup_s", _real),
-    "name": ("name", lambda key, value: str(value)),
-}
-_SCENARIO_KEYS = {"policy", "policy_defaults", "nodes", "links", *_SCALAR_KEYS}
+_SCENARIO_KEYS = {"catalog_size", "zipf_alpha", "request_rate_per_user",
+                  "object_size_bytes", "packet_size_bytes", "requests_per_user",
+                  "seed", "policy", "policy_defaults", "stats_warmup_s", "name",
+                  "nodes", "links"}
 _NODE_KEYS = {"id", "kind", "cache_capacity_objects", "label"}
 _LINK_KEYS = {"down", "up", "capacity_bps", "prop_delay_s"}
+# config-file key -> spec field, where the two names differ
+_RENAMED = {"request_rate_per_user": "request_rate", "id": "node_id"}
+
+
+def _spec_fields(entry, known: set, what: str) -> dict:
+    """The keys of one config mapping as spec fields: renamed, and without
+    the null ones, which take the field's default."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{what} must be a mapping, got {entry!r}")
+    unknown = set(entry) - known
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+    return {_RENAMED.get(key, key): value for key, value in entry.items()
+            if value is not None}
 
 
 def scenario_from_dict(raw: dict, **overrides) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed config mapping (see load_scenario).
 
     Keyword arguments replace top-level keys of raw; a None value leaves
-    the key as it is.
+    the key as it is. The specs convert and check the values; this only
+    maps keys to their fields.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-    unknown = set(raw) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    config = {**_spec_fields(raw, _SCENARIO_KEYS, "config"),
+              **_spec_fields(overrides, _SCENARIO_KEYS, "config")}
     try:
-        defaults = raw.get("policy_defaults") or {}
-        if not isinstance(defaults, dict):
-            raise ConfigError(f"policy_defaults must be a mapping, got {defaults!r}")
-        defaults = {key: _real(key, value) for key, value in defaults.items()}
-        nodes = []
-        for nd in raw.get("nodes", []):
-            unknown = set(nd) - _NODE_KEYS
-            if unknown:
-                raise ConfigError(f"unknown node keys: {sorted(unknown)}")
-            nodes.append(NodeSpec(
-                node_id=_integer("id", nd["id"]),
-                kind=str(nd["kind"]),
-                cache_capacity_objects=_integer(
-                    "cache_capacity_objects", nd.get("cache_capacity_objects", 0)),
-                label=str(nd.get("label", "")),
-            ))
-        links = []
-        for ld in raw.get("links", []):
-            unknown = set(ld) - _LINK_KEYS
-            if unknown:
-                raise ConfigError(f"unknown link keys: {sorted(unknown)}")
-            links.append(LinkSpec(
-                down=_integer("down", ld["down"]),
-                up=_integer("up", ld["up"]),
-                capacity_bps=_real("capacity_bps", ld["capacity_bps"]),
-                prop_delay_s=_real("prop_delay_s", ld.get("prop_delay_s", 0.0)),
-            ))
-        fields = {f: convert(key, raw[key])
-                  for key, (f, convert) in _SCALAR_KEYS.items()
-                  if raw.get(key) is not None}
-        if raw.get("policy") is not None:
-            fields["policy"] = _resolve_policy(raw["policy"], defaults)
-        return ScenarioConfig(topology=Topology(nodes=nodes, links=links),
-                              policy_defaults=defaults, **fields)
-    except (KeyError, TypeError) as exc:
+        nodes = [NodeSpec(**_spec_fields(nd, _NODE_KEYS, "node"))
+                 for nd in config.pop("nodes", [])]
+        links = [LinkSpec(**_spec_fields(ld, _LINK_KEYS, "link"))
+                 for ld in config.pop("links", [])]
+        return ScenarioConfig(topology=Topology(nodes, links), **config)
+    except TypeError as exc:  # a required key is missing, or a list is not one
         raise ConfigError(f"malformed scenario config: {exc!r}") from exc
 
 
@@ -895,8 +898,9 @@ def load_scenario(path: str, **overrides) -> ScenarioConfig:
     one insertion policy of every cache. Node entries carry {id, kind:
     user|cache|repository, cache_capacity_objects, label}; link entries
     {down, up, capacity_bps, prop_delay_s} with down the user-side
-    endpoint. Counts and ids must be whole numbers. PRESETS
-    holds complete examples.
+    endpoint. A null value, at the top level or in a node or link entry,
+    takes the field's default; a required key cannot be null. Counts and
+    ids must be whole numbers. PRESETS holds complete examples.
 
     policy_defaults is a mapping {lcp_p, lac_beta, lac_gamma} of the
     parse_policy keywords that a policy string without parameters takes; a
@@ -905,9 +909,11 @@ def load_scenario(path: str, **overrides) -> ScenarioConfig:
     given as a string that int() or float() reads (PyYAML reads 30e3 as
     one); any other string is a ConfigError.
 
-    The result is a frozen value, checked once as it is built: it cannot
-    be changed afterwards, and dataclasses.replace makes a changed copy,
-    which is checked again.
+    The loader only maps keys to fields: NodeSpec, LinkSpec and
+    ScenarioConfig convert and check their own values. So the result is a
+    frozen value, converted and checked once as it is built: it cannot be
+    changed afterwards, and dataclasses.replace makes a changed copy, which
+    is converted and checked the same way.
     """
     import yaml  # only config files need it
 

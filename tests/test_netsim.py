@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from lacsim.analytics import miss_asym, solve_tau
+from lacsim.cache import parse_policy
 from lacsim.netsim import (CACHE, REPOSITORY, USER, ConfigError, Link,
                            LinkSpec, NodeSpec, ScenarioConfig, Simulation,
                            PRESETS, Topology, busy_time, load_scenario,
@@ -28,12 +29,11 @@ def tiny_config(catalog=1, cap=1, horizon=10, policy="lru", seed=1, rate=1.0,
                NodeSpec(3, REPOSITORY, label="repo")],
         links=[LinkSpec(down=1, up=2, capacity_bps=user_bps),
                LinkSpec(down=2, up=3, capacity_bps=repo_bps)])
-    config = ScenarioConfig(
+    return ScenarioConfig(
         topology=topo, catalog_size=catalog, zipf_alpha=1.7,
         request_rate=rate, object_size_bytes=10_000,
         packet_size_bytes=10_000, requests_per_user=horizon, seed=seed,
-        **kwargs)
-    return dataclasses.replace(config, policy=config.resolve_policy(policy))
+        policy=policy, **kwargs)
 
 
 def requests_hits(report, label) -> tuple:
@@ -527,6 +527,10 @@ def test_loader_rejects_unknown_keys(tmp_path):
     raw["router_mtu"] = 1500
     with pytest.raises(ConfigError):
         scenario_from_dict(raw)
+    # YAML keys need not be strings, nor of one type
+    raw[1] = 2
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        scenario_from_dict(raw)
     # a run always ends when every request has been delivered: there is no
     # time cap to set
     raw = dict(BASE_YAML, max_sim_time_s=50.0)
@@ -548,7 +552,8 @@ def test_loader_rejects_unknown_keys(tmp_path):
     ("links", "capacity_bps"), ("links", "prop_delay_s"),
     (None, "request_rate_per_user"), (None, "stats_warmup_s"),
 ])
-@pytest.mark.parametrize("value", [math.nan, math.inf, True])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True,
+                                   pytest.param(10**400, id="10**400")])
 def test_loader_rejects_non_finite_values(where, key, value):
     raw = dict(BASE_YAML)
     if where is None:
@@ -612,6 +617,29 @@ def test_loader_rejects_non_integral_counts(where, key, value):
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("where,index,key,default", [
+    ("nodes", 1, "label", "cache2"),
+    ("nodes", 1, "cache_capacity_objects", 0),
+    ("links", 0, "prop_delay_s", 0.0),
+    ("nodes", 0, "id", ConfigError), ("nodes", 0, "kind", ConfigError),
+    ("links", 0, "down", ConfigError), ("links", 0, "up", ConfigError),
+    ("links", 0, "capacity_bps", ConfigError),
+])
+def test_null_in_an_entry_takes_the_default(where, index, key, default):
+    # a null key of a node or link takes the field's default, as a null
+    # top-level key does; a required key stays required
+    raw = dict(BASE_YAML)
+    raw[where] = [dict(e) for e in BASE_YAML[where]]
+    raw[where][index][key] = None
+    if default is ConfigError:
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict(raw)
+        return
+    spec = getattr(scenario_from_dict(raw).topology, where)[index]
+    value = getattr(spec, key)
+    assert value == default and type(value) is type(default)
+
+
 def test_loader_reads_whole_floats_as_integers():
     config = scenario_from_dict(dict(BASE_YAML, catalog_size=40.0))
     assert config.catalog_size == 40 and isinstance(config.catalog_size, int)
@@ -621,6 +649,7 @@ def test_loader_reads_whole_floats_as_integers():
     ("catalog_size", 0), ("catalog_size", -3),
     ("zipf_alpha", 0.0), ("zipf_alpha", -1.7),
     ("zipf_alpha", math.nan), ("zipf_alpha", math.inf), ("zipf_alpha", True),
+    pytest.param("zipf_alpha", 10**400, id="zipf_alpha-10**400"),
     ("seed", 2**128), ("seed", 2**130 + 3),
 ])
 def test_loader_rejects_values_the_run_cannot_use(key, value):
@@ -653,7 +682,8 @@ def test_loader_rejects_bad_policies(where, policy):
 
 
 @pytest.mark.parametrize("defaults", [{"lcp_q": 0.2}, {"lcp_p": 1.5},
-                                      {"lac_beta": -1.0}, ["lcp_p"]])
+                                      {"lac_beta": -1.0}, ["lcp_p"],
+                                      {"lcp_p": 10**400}])
 def test_loader_rejects_bad_policy_defaults(defaults):
     # checked when the config is built, whether or not a policy string uses
     # them
@@ -701,6 +731,42 @@ def test_policy_defaults_are_frozen_and_picklable():
     assert copy.policy_defaults == config.policy_defaults
     assert copy.resolve_policy("lac") == config.resolve_policy("lac")
     assert copy.resolve_policy("lac").beta == 3.0
+
+
+@pytest.mark.parametrize("spec,changes,expected", [
+    ("config", {"seed": 1.5}, ConfigError),
+    ("config", {"seed": True}, ConfigError),
+    ("config", {"zipf_alpha": True}, ConfigError),
+    ("config", {"requests_per_user": 2.5}, ConfigError),
+    ("config", {"policy": None}, ConfigError),
+    ("config", {"policy": 5}, ConfigError),
+    # parsed with the tree preset's policy_defaults
+    ("config", {"policy": "lac"}, parse_policy("lac:3,3")),
+    ("config", {"catalog_size": "40"}, 40),
+    ("node", {"node_id": "3", "kind": "user"}, 3),
+    ("link", {"capacity_bps": "30e3", "down": 1, "up": 2}, 30e3),
+    # None in a field with a default takes the default, as a null key does
+    ("node", {"label": None, "node_id": 1, "kind": "user"}, "user1"),
+    ("config", {"name": None}, ""),
+], ids=["seed-1.5", "seed-True", "zipf_alpha-True", "requests_per_user-2.5",
+        "policy-None", "policy-5", "policy-lac", "catalog_size-str",
+        "node_id-str", "capacity_bps-str", "label-None", "name-None"])
+def test_copies_and_hand_built_specs_convert_as_the_loader_does(
+        spec, changes, expected):
+    # a spec converts and checks its own fields, so a dataclasses.replace
+    # copy or a spec built by hand reads a value as the loader does, and
+    # refuses what the loader refuses, instead of failing in the run
+    if spec == "config":
+        build = lambda: dataclasses.replace(preset("tree"), **changes)
+    else:
+        build = lambda: {"node": NodeSpec, "link": LinkSpec}[spec](**changes)
+    key = next(iter(changes))
+    if expected is ConfigError:
+        with pytest.raises(ConfigError, match=key):
+            build()
+        return
+    value = getattr(build(), key)
+    assert value == expected and type(value) is type(expected)
 
 
 def test_configs_are_frozen_values():
