@@ -23,10 +23,9 @@ the mean (Jensen), which is what makes the mean-field form usable.
 
 All formulas clamp results to [0, 1].
 
-solve_tau bisects g(tau) = occupancy - x and uses only its sign. A Newton
-iteration in ln tau estimates the root, and g is evaluated exactly at the
-edges L < U of a band around the estimate. With u = 2**-53, n ranks and
-p = 1 - (1 - mean_p), g's rounding error at occupancy S is below b0 + b1 S,
+solve_tau bisects g(tau) = occupancy - x and uses only its sign. With
+u = 2**-53, n ranks and p = 1 - (1 - mean_p), g's rounding error at
+occupancy S is below b0 + b1 S,
 
     b0 = 2u (n (max(ln(1/p), 1) + 24) + x)
     b1 = 2u (16/p + ceil(log2 n) + 21),
@@ -34,12 +33,29 @@ p = 1 - (1 - mean_p), g's rounding error at occupancy S is below b0 + b1 S,
 a first-order bound on exp, on the cancellation in D = 1 - (1 - e)(1 - p)
 (its error is relative to D >= p, hence 1/p), on numpy's pairwise sum and
 on the final subtraction, doubled. The exact occupancy rises strictly with
-tau, so with floor = 2 (b0 + b1 x) / (1 - b1), g(L) < -floor implies g < 0
-at every tau <= L, and g(U) > floor implies g > 0 at every tau >= U. There
-the bisection reads the known sign instead of evaluating g. Every sign it
-uses is the one an evaluation gives, so its steps, tau, the residual
-(always evaluated) and the iteration count are the plain bisection's bits.
-If a check fails, or p < 128u, every point is evaluated.
+tau, so with floor = 2 (b0 + b1 x) / (1 - b1), an evaluation g(L) < -floor
+implies g < 0 at every tau <= L, and g(U) > floor implies g > 0 at every
+tau >= U. There the bisection reads the known sign instead of evaluating
+g. Every sign it uses is the one an evaluation gives, so its steps, tau,
+the residual (always evaluated) and the iteration count are the plain
+bisection's bits. If p < 128u, no sign is known and every point is
+evaluated.
+
+Known signs pay only if they come from points near the root, so a Newton
+iteration in ln tau first estimates the root. It starts from the root of a
+reduced model that sums the first 256 ranks exactly and takes the rest to
+second order in y = lam tau: p tau sum lam + p (1/2 - p) tau**2 sum lam**2.
+That start is used if the catalog has more than 256 ranks and the largest
+tail y there is below 0.05; otherwise Newton starts at tau = 1. Then g is
+evaluated at the points the bisection reads if g changes sign at the
+estimate, nearest first on each side, until one lies beyond the floor.
+Points where g, extrapolated from the estimate, is within half a floor of 0
+are left to the bisection. The others are the points the bisection
+evaluates near the root anyway, so a good estimate adds no evaluation, and
+a poor one costs evaluations, not bits. On `lacsim model`'s catalog
+(20,000 ranks, alpha 1.7, x = 8) with mean_p from 1e-3 to 1, a solve makes
+one Newton step on the full catalog and 5-11 evaluations of g (7.9 on
+average), where the plain bisection makes 43-51 (48.2).
 """
 
 from __future__ import annotations
@@ -70,11 +86,13 @@ RESIDUAL_REL_TOL = 1e-6
 _UNIT_ROUNDOFF = 2.0 ** -53
 _NEWTON_MAX_ITER = 40
 _NEWTON_MAX_STEP = 8.0   # largest change of ln tau in one Newton step
-_BAND_MARGIN = 4.0       # band half-width in units of floor / slope
+_CURVATURE = 64.0        # assumed bound on |d2 ln S / d(ln tau)2| near the root
+_HEAD_RANKS = 256        # ranks that _start_tau's reduced model sums exactly
+_TAIL_MAX_Y = 0.05       # largest tail lam tau at which it trusts the rest
 
 def _clamp01(value):
     if isinstance(value, np.ndarray):
-        if np.any((value < 0.0) | (value > 1.0)):
+        if np.fmin.reduce(value) < 0.0 or np.fmax.reduce(value) > 1.0:
             value = np.clip(value, 0.0, 1.0)
         return value
     if value < 0.0:
@@ -166,34 +184,36 @@ def _g_error_floor(n: int, x: float, mean_p: float) -> float:
     return 2.0 * (b0 + b1 * x) / (1.0 - b1)
 
 
-def _root_estimate(neg_lam: np.ndarray, x: float, mean_p: float,
-                   floor: float, e: np.ndarray, h: np.ndarray):
-    """Safeguarded Newton iteration for ln S(tau) = ln x in ln tau, where S
-    is the expected occupancy, run in the arrays e and h. It stops once
-    |S - x| <= floor and returns the estimate after that point's step with
-    tau dS/dtau there, or (None, 0.0) if it does not get there.
+def _occupancy(neg_lam: np.ndarray, tau: float, p: float, q: float,
+               e: np.ndarray, h: np.ndarray):
+    """(S, tau dS/dtau) over the ranks of lam = -neg_lam, run in the arrays
+    e and h. With e = exp(-lam tau) and D = 1 - (1 - e) q, S is
+    sum (1 - e/D), computed as g computes it, and tau dS/dtau is
+    p tau sum lam e / D**2."""
+    np.multiply(neg_lam, tau, out=e)
+    np.exp(e, out=e)
+    np.subtract(1.0, e, out=h)
+    np.multiply(h, q, out=h)
+    np.subtract(1.0, h, out=h)
+    np.divide(e, h, out=e)
+    np.divide(e, h, out=h)
+    np.multiply(h, neg_lam, out=h)
+    slope = -p * tau * float(np.add.reduce(h))
+    np.subtract(1.0, e, out=e)
+    return float(np.add.reduce(e)), slope
 
-    With e = exp(-lam tau) and D = 1 - (1 - e)(1 - p), S is sum (1 - e/D),
-    computed as g computes it, and tau dS/dtau is p tau sum lam e / D**2.
-    The result is only an estimate, which solve_tau checks.
-    """
-    q = 1.0 - mean_p
-    p = 1.0 - q
+
+def _newton(occupancy_at, x: float, tau: float, tol: float):
+    """Safeguarded Newton iteration for ln S(tau) = ln x in ln tau from tau,
+    where occupancy_at(tau) gives S and tau dS/dtau. It stops at a point
+    where |S - x| <= tol, or where the step is so short that, with
+    |d2 ln S / d(ln tau)2| <= _CURVATURE, S - x after it is within tol / 2.
+    It returns the estimate after that point's step with tau dS/dtau there,
+    or (None, 0.0) if it does not get there."""
     log_x = math.log(x)
     lo, hi = 0.0, math.inf  # S(lo) < x <= S(hi), as far as S is computed
-    tau = 1.0
     for _ in range(_NEWTON_MAX_ITER):
-        np.multiply(neg_lam, tau, out=e)
-        np.exp(e, out=e)
-        np.subtract(1.0, e, out=h)
-        np.multiply(h, q, out=h)
-        np.subtract(1.0, h, out=h)
-        np.divide(e, h, out=e)
-        np.divide(e, h, out=h)
-        np.multiply(h, neg_lam, out=h)
-        slope = -p * tau * float(np.sum(h))
-        np.subtract(1.0, e, out=e)
-        occupancy = float(np.sum(e))
+        occupancy, slope = occupancy_at(tau)
         if occupancy < x:
             lo = tau
         else:
@@ -203,12 +223,84 @@ def _root_estimate(neg_lam: np.ndarray, x: float, mean_p: float,
             step = min(max(step, -_NEWTON_MAX_STEP), _NEWTON_MAX_STEP)
         else:
             step = _NEWTON_MAX_STEP if occupancy < x else -_NEWTON_MAX_STEP
-        if slope > 0.0 and abs(occupancy - x) <= floor:
+        if slope > 0.0 and (abs(occupancy - x) <= tol
+                            or _CURVATURE * occupancy * step * step <= tol):
             return tau * math.exp(step), slope
         tau *= math.exp(step)
         if not lo < tau < hi:
             tau = math.sqrt(lo) * math.sqrt(hi)
     return None, 0.0
+
+
+def _start_tau(neg_lam: np.ndarray, x: float, p: float, q: float,
+               floor: float, e: np.ndarray, h: np.ndarray) -> float:
+    """Where the Newton iteration on the full catalog starts: the root of a
+    reduced model that sums the first _HEAD_RANKS ranks exactly and takes
+    the rest to second order in y = lam tau, p tau sum lam +
+    p (1/2 - p) tau**2 sum lam**2. It is used if the largest tail y there is
+    below _TAIL_MAX_Y, where the expansion holds; otherwise, or for a
+    catalog of at most _HEAD_RANKS ranks, the start is tau = 1. The tail
+    sums are taken once, in h."""
+    k = _HEAD_RANKS
+    if neg_lam.size <= k:
+        return 1.0
+    tail = neg_lam[k:]
+    np.multiply(tail, tail, out=h[k:])
+    c1 = -p * float(np.add.reduce(tail))
+    c2 = p * (0.5 - p) * float(np.add.reduce(h[k:]))
+    lam_max = -float(np.minimum.reduce(tail))
+    head, e_head, h_head = neg_lam[:k], e[:k], h[:k]
+
+    def reduced(tau):
+        occupancy, slope = _occupancy(head, tau, p, q, e_head, h_head)
+        lin, quad = c1 * tau, c2 * tau * tau
+        return occupancy + lin + quad, slope + lin + 2.0 * quad
+
+    tau, _ = _newton(reduced, x, 1.0, floor)
+    if tau is None or not lam_max * tau < _TAIL_MAX_Y:
+        return 1.0
+    return tau
+
+
+def _root_estimate(neg_lam: np.ndarray, x: float, mean_p: float,
+                   floor: float, e: np.ndarray, h: np.ndarray):
+    """Estimate of the root of S(tau) = x, where S is the expected
+    occupancy, and tau dS/dtau there: _newton on the full catalog from
+    _start_tau with tol = floor, run in the arrays e and h, or (None, 0.0).
+    The result is only an estimate, which solve_tau checks."""
+    q = 1.0 - mean_p
+    p = 1.0 - q
+    start = _start_tau(neg_lam, x, p, q, floor, e, h)
+    return _newton(lambda tau: _occupancy(neg_lam, tau, p, q, e, h),
+                   x, start, floor)
+
+
+def _bisect(side):
+    """Bisection on a sign-change bracket found by doubling from [0, 1]:
+    side(tau) is a number with the sign of g(tau). Returns the final
+    (lo, hi, iterations)."""
+    lo, hi = 0.0, 1.0
+    expansions = 0
+    while side(hi) <= 0.0:
+        lo = hi
+        hi *= 2.0
+        expansions += 1
+        if expansions > 200:
+            raise RuntimeError("failed to bracket the characteristic time")
+    if not side(lo) < 0.0 < side(hi):
+        raise RuntimeError(f"no sign change on bracket [{lo}, {hi}]")
+    iterations = 0
+    while hi - lo > TAU_ABS_TOL and iterations < MAX_BISECT_ITER:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent doubles: no step can move either
+            break
+        if side(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return lo, hi, iterations
 
 
 def solve_tau(x: float, rate_lambda: float, popularity, mean_p: float = 1.0) -> CheSolution:
@@ -222,11 +314,15 @@ def solve_tau(x: float, rate_lambda: float, popularity, mean_p: float = 1.0) -> 
     step once the bracket's ends are adjacent doubles), and the residual is
     checked against 1e-6 * x before returning.
 
-    Only the sign of g(tau) = occupancy - x steers the bisection, and g is
-    evaluated only inside a band around a Newton estimate of the root whose
-    edges are checked against a bound on g's rounding error (module
-    docstring): the steps and (tau, residual, iterations) are the plain
-    bisection's to the last bit, with about a third of its evaluations.
+    Only the sign of g(tau) = occupancy - x steers the bisection. An
+    evaluation of g beyond a bound on its rounding error fixes the sign on
+    one side of its point, and g is evaluated first at the points nearest a
+    Newton estimate of the root (module docstring): the steps and (tau,
+    residual, iterations) are the plain bisection's to the last bit. Newton
+    starts from the root of a reduced model of the catalog, or at tau = 1
+    for a catalog of at most 256 ranks or where that model's tail
+    expansion does not hold. On `lacsim model`'s catalog a solve evaluates
+    g about 8 times, where the plain bisection evaluates it about 48 times.
     """
     weights = _weight_vector(popularity)
     n = weights.size
@@ -245,53 +341,58 @@ def solve_tau(x: float, rate_lambda: float, popularity, mean_p: float = 1.0) -> 
     np.negative(neg_lam, out=neg_lam)
     e, miss = np.empty_like(neg_lam), np.empty_like(neg_lam)
 
+    floor = _g_error_floor(n, x, mean_p)
+    below, above = -math.inf, math.inf  # g < 0 at tau <= below, > 0 at >= above
+    known = {}
+
     def g(tau):
-        # occupancy minus x, evaluated in the two arrays above: a bisection
-        # step allocates nothing
+        # occupancy minus x, evaluated in the two arrays above (a bisection
+        # step allocates nothing); a value beyond the floor fixes the sign
+        # of g on one side of tau
+        nonlocal below, above
         hit = _miss_asym_into(neg_lam, tau, mean_p, e, miss)
         np.subtract(1.0, hit, out=hit)
-        return float(np.sum(hit)) - x
+        value = float(np.add.reduce(hit)) - x
+        if value < -floor:
+            below = max(below, tau)
+        elif value > floor:
+            above = min(above, tau)
+        known[tau] = value
+        return value
 
-    band_lo, band_hi = -math.inf, math.inf
-    floor = _g_error_floor(n, x, mean_p)
     if floor < math.inf:
         estimate, slope = _root_estimate(neg_lam, x, mean_p, floor, e, miss)
         if estimate is not None:
-            half = _BAND_MARGIN * floor / slope * estimate
-            lo_edge, hi_edge = estimate - half, estimate + half
-            if 0.0 < lo_edge and g(lo_edge) < -floor and g(hi_edge) > floor:
-                band_lo, band_hi = lo_edge, hi_edge
+            # evaluate g at the points the bisection reads if g changes sign
+            # at the estimate, nearest first on each side, until one lies
+            # beyond the floor. Points where g, extrapolated from the
+            # estimate, is within half a floor of 0 are left to the
+            # bisection: the estimate does not tell their side. An
+            # evaluation only adds known signs, so the order changes no bit
+            path = []
+            try:
+                _bisect(lambda t: path.append(t) or t - estimate)
+            except RuntimeError:  # no bracket: the points so far still count
+                pass
+            skip = 0.5 * floor / slope * estimate
+            for t in sorted((t for t in path if t < estimate - skip),
+                            reverse=True):
+                if g(t) < -floor:
+                    break
+            for t in sorted(t for t in path if t > estimate + skip):
+                if t >= above or g(t) > floor:  # known, or now known
+                    break
 
     def side(tau):
         # a number with the sign of g(tau)
-        if tau <= band_lo:
+        if tau <= below:
             return -1.0
-        if tau >= band_hi:
+        if tau >= above:
             return 1.0
-        return g(tau)
+        value = known.get(tau)
+        return g(tau) if value is None else value
 
-    lo, hi = 0.0, 1.0
-    expansions = 0
-    while side(hi) <= 0.0:
-        lo = hi
-        hi *= 2.0
-        expansions += 1
-        if expansions > 200:
-            raise RuntimeError("failed to bracket the characteristic time")
-    if not side(lo) < 0.0 < side(hi):
-        raise RuntimeError(f"no sign change on bracket [{lo}, {hi}]")
-
-    iterations = 0
-    while hi - lo > TAU_ABS_TOL and iterations < MAX_BISECT_ITER:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # lo and hi are adjacent doubles: no step can move either
-            break
-        if side(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+    lo, hi, iterations = _bisect(side)
     tau = 0.5 * (lo + hi)
     residual = abs(g(tau))
     if residual > RESIDUAL_REL_TOL * x:

@@ -138,6 +138,10 @@ _CONVERSIONS = {"int": _integer, "float": _real,
                 "str": lambda key, value: str(value)}
 
 
+# characters that a label written unquoted in a CSV file must not hold
+_CSV_UNSAFE = ',"\r\n'
+
+
 def _convert_fields(spec) -> None:
     """Convert each int, float and str field of a frozen spec in place, so a
     spec built by hand or by dataclasses.replace reads its values as the
@@ -208,7 +212,7 @@ class Topology:
         for n in self.nodes:
             if n.label in labels:
                 raise ConfigError(f"duplicate node label {n.label!r}")
-            if any(c in n.label for c in ',"\r\n'):
+            if any(c in n.label for c in _CSV_UNSAFE):
                 raise ConfigError(f"node label {n.label!r} holds a comma, "
                                   f"quote or line break")
             labels.add(n.label)
@@ -274,6 +278,11 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _convert_fields(self)
+        # the name is a directory leaf of `lacsim sim`'s output and is written
+        # unquoted in sweep.csv
+        if any(c in self.name for c in _CSV_UNSAFE + "/\\"):
+            raise ConfigError(f"name {self.name!r} holds a path separator, "
+                              f"comma, quote or line break")
         defaults = self.policy_defaults
         malformed = ConfigError(f"policy_defaults must be a mapping or (key, value) "
                                 f"pairs, got {defaults!r}")

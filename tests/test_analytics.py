@@ -186,7 +186,7 @@ def test_solve_tau_stops_at_adjacent_doubles():
 
 def test_solve_tau_evaluates_near_the_root(catalog, monkeypatch):
     # a plain bisection evaluates g 37-61 times on the pinned solves; with
-    # the checked band 5-14 evaluations remain
+    # the signs known from evaluations near the Newton estimate 4-12 remain
     calls = []
     evaluate = analytics._miss_asym_into
     monkeypatch.setattr(analytics, "_miss_asym_into",
@@ -195,6 +195,63 @@ def test_solve_tau_evaluates_near_the_root(catalog, monkeypatch):
         calls.clear()
         solve_tau(x, 1.0, catalog, mean_p=mean_p)
         assert 3 <= len(calls) <= 16, (x, mean_p, len(calls))
+
+
+@pytest.fixture
+def exp_sizes(monkeypatch):
+    """The sizes of the arrays passed to np.exp while the test runs: a
+    solve makes one exp pass over the catalog per evaluation of g and per
+    Newton step on the full catalog."""
+    sizes = []
+    exp = np.exp
+    monkeypatch.setattr(analytics.np, "exp", lambda a, *args, **kwargs:
+                        sizes.append(np.size(a)) or exp(a, *args, **kwargs))
+    return sizes
+
+
+def test_solve_tau_passes_on_the_model_grid(catalog, exp_sizes):
+    # the mean_p grid of perfbench's model-grid workload at seed 1: 60 values
+    # log-uniform on [1e-3, 1]. A solve made 15.2 full-catalog passes on
+    # average with Newton from tau = 1 and a checked band; it makes 9.1 now
+    rng = random.Random(1)
+    grid = sorted(10.0 ** rng.uniform(-3.0, 0.0) for _ in range(60))
+    passes = []
+    for mean_p in grid:
+        exp_sizes.clear()
+        solve_tau(8.0, 1.0, catalog, mean_p=mean_p)
+        passes.append(exp_sizes.count(catalog.weights.size))
+    assert sum(passes) / len(passes) <= 12.0
+
+
+def _bit_for_bit_cases():
+    """The 1000 (x, rate, weights, mean_p) cases, in order, of
+    test_solve_tau_matches_plain_bisection_bit_for_bit."""
+    rng = random.Random(20261019)
+    for case in range(1000):
+        top = 200_000 if case % 100 == 0 else 20_000
+        n = round(10.0 ** rng.uniform(math.log10(3), math.log10(top)))
+        weights = zipf_weights(n, rng.uniform(0.8, 2.5)).weights
+        x = min(10.0 ** rng.uniform(0.0, math.log10(n - 1)), n - 1.0)
+        if case % 3 == 0:
+            x = float(math.floor(x))
+        rate = 10.0 ** rng.uniform(-3.0, math.log10(12.0))
+        mean_p = 1.0 if case % 10 == 0 else 10.0 ** rng.uniform(-6.0, 0.0)
+        yield x, rate, weights, mean_p
+
+
+def test_solve_tau_passes_on_the_random_cases(exp_sizes):
+    # the bit-for-bit cases made 20,527 full-catalog passes in all with
+    # Newton from tau = 1 and a checked band, and make 17,348 now: a start
+    # that misleads Newton, or a walk that misses the root, would show here
+    total = 0
+    for x, rate, weights, mean_p in _bit_for_bit_cases():
+        exp_sizes.clear()
+        try:
+            solve_tau(x, rate, weights, mean_p)
+        except RuntimeError:
+            pass
+        total += exp_sizes.count(weights.size)
+    assert total <= 20_527
 
 
 def test_solve_tau_accepts_raw_vectors(catalog):

@@ -176,6 +176,18 @@ def test_outdir_defaults_to_environment(tmp_path, monkeypatch, capsys):
         assert (roots[0] / name).is_file()
 
 
+def test_config_name_cannot_leave_the_output_directory(tmp_path, monkeypatch,
+                                                      capsys):
+    # the name is joined into the default output leaf, so a name with a path
+    # separator would write outside LACSIM_OUTDIR
+    monkeypatch.setenv("LACSIM_OUTDIR", str(tmp_path / "out" / "root"))
+    cfg = tmp_path / "escape.yaml"
+    cfg.write_text(yaml.safe_dump(dict(MINI_SCENARIO, name="../../escaped")))
+    assert main(["sim", "--config", str(cfg)]) == 1
+    assert "name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.yaml"]
+
+
 def test_calibrate_lcp_reruns_fixed_prob(tmp_path, capsys):
     code = main(["sim", "--preset", "single", "--policy", "lcp",
                  "--calibrate-lcp", "--horizon", "2500",

@@ -769,6 +769,19 @@ def test_copies_and_hand_built_specs_convert_as_the_loader_does(
     assert value == expected and type(value) is type(expected)
 
 
+@pytest.mark.parametrize("name", ["a/b", "../../escaped", "a\\b", "a,b",
+                                  'a"b', "a\nb", "a\rb"])
+def test_config_name_is_a_plain_label(name):
+    # the name becomes a directory leaf under the output root and an
+    # unquoted field of sweep.csv
+    with pytest.raises(ConfigError, match="name"):
+        dataclasses.replace(preset("single"), name=name)
+    with pytest.raises(ConfigError, match="name"):
+        scenario_from_dict(dict(PRESETS["single"], name=name))
+    assert dataclasses.replace(preset("single"), name="my run.v2").name == \
+        "my run.v2"
+
+
 def test_configs_are_frozen_values():
     # a config is checked once, when it is built; it cannot be changed
     # afterwards, and a copy made with dataclasses.replace is checked again
